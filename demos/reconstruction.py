@@ -1,6 +1,8 @@
-"""End-to-end reconstruction: triplets, BUILD, labelling, verification.
+"""End-to-end reconstruction: pair values, triplets, BUILD, labelling,
+verification.
 
-The decision procedures reduce everything to three-leaf statements, then
+The decision procedures recover a pairwise map (for multiset maps, one
+five-point combination per pair), reduce it to three-leaf statements, and
 verify the candidate tree exactly; the final check matters, because a
 consistent triplet set does not by itself certify representability.
 """
@@ -39,7 +41,10 @@ for r in d.ground:
 print("unrooted round trip holds for every projection leaf")
 
 # The cautionary example: consistent triplets, no tree.  Value 3A on the
-# block {3,4,5} and 2A+B everywhere else.
+# block {3,4,5} and 2A+B everywhere else.  The triplet route extracts a
+# consistent triplet set and BUILD accepts it; the decision procedure
+# rejects at labelling, because the five-point combination for pair (1,3)
+# is (1/2)A+(1/2)B, which no pairwise labelling can produce.
 table = SymbolTable(["A", "B"])
 ground = tuple("12345")
 values = {
@@ -55,3 +60,4 @@ print("BUILD finds a tree displaying them:",
       build(triplets, ground) is not None)
 out = decide_ultrametric(caveat)
 print("final verdict:", out.verdict, "| failed at:", out.failure_stage)
+print("detail:", out.detail)

@@ -1,8 +1,11 @@
 """Three-way symbolic maps on vertex-labelled phylogenetic trees.
 
 Construct symbolic maps from labelled trees, decide via k-point conditions
-or via a triplet/BUILD pipeline whether an arbitrary map arises from such a
-tree, and reconstruct the unique discriminating labelled tree when it does.
+or via reconstruction whether an arbitrary map arises from such a tree, and
+reconstruct the unique discriminating labelled tree when it does.
+Reconstruction recovers the pairwise map (for multiset maps, from one
+five-point combination per pair), runs the triplet/BUILD pipeline on it,
+and verifies the candidate tree exactly.
 """
 
 from .symbols import (Symbol, SymbolCombination, SymbolError, SymbolTable,
@@ -21,7 +24,7 @@ from .farris import FarrisResult, farris_inverse, farris_transform
 from .conditions import (FivePointSystem, PAIR_OF_TRIPLES, QuartetType,
                          TRIPLE_OF_PAIRS, Violation, check_three_way_ultrametric,
                          check_tree_map, check_ultrametric, classify_quartet,
-                         pair_combination, representable_by_conditions,
+                         pair_combination, pair_counts, representable_by_conditions,
                          ultrametric_by_five_subsets)
 from .reconstruct import (NotUltrametricError, PairContradictionError,
                           ReconstructionOutcome, build, decide_tree_map,

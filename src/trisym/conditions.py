@@ -167,14 +167,57 @@ PAIR_OF_TRIPLES: tuple[tuple[Fraction, ...], ...] = tuple(
 )
 
 
+def pair_counts(d: ThreeWayMap, p: str, q: str, e: str, f: str, g: str) -> dict[Symbol, int]:
+    """The five-point pair combination for {p,q} over {p,q,e,f,g}, scaled by 6:
+
+        2*[d(p,q,e) + d(p,q,f) + d(p,q,g) + d(e,f,g)]
+          - sum over pairs {a,b} of {e,f,g} of [d(p,a,b) + d(q,a,b)]
+
+    as integer counts per symbol, zero counts dropped.  This is the
+    PAIR_OF_TRIPLES_NUMERATORS row of the pair applied to the ten triple
+    values.  The counts always sum to 6.  No argument checks: callers pass
+    five distinct names of a multiset map.
+    """
+    value = d.value
+    plus = (value(p, q, e), value(p, q, f), value(p, q, g), value(e, f, g))
+    minus = (value(p, e, f), value(p, e, g), value(p, f, g),
+             value(q, e, f), value(q, e, g), value(q, f, g))
+    # Count by name: a str key hashes in C, a Symbol key calls Symbol.__hash__.
+    counts: dict[str, int] = {}
+    for v in plus:
+        for s in v.entries:  # type: ignore[union-attr]
+            counts[s.name] = counts.get(s.name, 0) + 2
+    for v in minus:
+        for s in v.entries:  # type: ignore[union-attr]
+            counts[s.name] = counts.get(s.name, 0) - 1
+    named = {s.name: s for v in plus + minus for s in v.entries}  # type: ignore[union-attr]
+    return {named[n]: c for n, c in counts.items() if c}
+
+
+def counts_are_valid(counts: dict[Symbol, int]) -> bool:
+    """True iff counts / 6 has non-negative integer coefficients."""
+    return all(c >= 0 and c % 6 == 0 for c in counts.values())
+
+
+def counts_singleton(counts: dict[Symbol, int]) -> Optional[Symbol]:
+    """The symbol s when counts are exactly {s: 6}, i.e. counts / 6 is that
+    single symbol; otherwise None."""
+    if len(counts) == 1:
+        (sym, c), = counts.items()
+        if c == 6:
+            return sym
+    return None
+
+
+def counts_combination(counts: dict[Symbol, int]) -> SymbolCombination:
+    """The rational combination counts / 6."""
+    return SymbolCombination({s: Fraction(c, 6) for s, c in counts.items()})
+
+
 def pair_combination(d: ThreeWayMap, five: Sequence[str], p: str, q: str) -> SymbolCombination:
     """The rational combination over a 5-subset that recovers the pair value:
-
-        (1/6) * ( 2*[d(p,q,e) + d(p,q,f) + d(p,q,g) + d(e,f,g)]
-                  - sum over pairs {a,b} of {e,f,g} of [d(p,a,b) + d(q,a,b)] )
-
-    where {e,f,g} is the 5-subset minus {p,q}.  For maps that come from a
-    rooted labelled tree this is always the singleton {D(p,q)}.
+    pair_counts divided by 6.  For maps that come from a rooted labelled
+    tree this is always the singleton {D(p,q)}.
     """
     if d.kind != KIND_MULTISET:
         raise MapError("pair combinations apply to multiset three-way maps")
@@ -184,14 +227,7 @@ def pair_combination(d: ThreeWayMap, five: Sequence[str], p: str, q: str) -> Sym
     if p == q or p not in five or q not in five:
         raise MapError("p and q must be distinct members of the 5-subset")
     e, f, g = [n for n in five if n not in (p, q)]
-    plus = SymbolCombination.zero()
-    for t in ((p, q, e), (p, q, f), (p, q, g), (e, f, g)):
-        plus = plus + SymbolCombination.from_multiset(d.value(*t))
-    minus = SymbolCombination.zero()
-    for a, b in combinations((e, f, g), 2):
-        minus = minus + SymbolCombination.from_multiset(d.value(p, a, b))
-        minus = minus + SymbolCombination.from_multiset(d.value(q, a, b))
-    return (plus.scaled(2) - minus).scaled(Fraction(1, 6))
+    return counts_combination(pair_counts(d, p, q, e, f, g))
 
 
 class FivePointSystem:
@@ -243,10 +279,12 @@ def check_three_way_ultrametric(d: ThreeWayMap,
 
     for five in combinations(d.ground, 5):
         for p, q in combinations(five, 2):
-            comb = pair_combination(d, five, p, q)
-            if not comb.is_valid():
+            e, f, g = [n for n in five if n != p and n != q]
+            counts = pair_counts(d, p, q, e, f, g)
+            if not counts_are_valid(counts):
                 out.append(Violation(
-                    P1, five, f"combination for pair ({p},{q}) is {comb.text()}"))
+                    P1, five,
+                    f"combination for pair ({p},{q}) is {counts_combination(counts).text()}"))
                 if stop_after and len(out) >= stop_after:
                     return out
 

@@ -259,12 +259,9 @@ def load_three_way_map(text: str, kind: str,
     rows = list(_map_rows(text, 4))
     if not rows or rows[0] != ["x", "y", "z", "value"]:
         raise MapError("three-way map text must start with the header 'x y z value'")
-    ground: list[str] = []
+    ground = list(dict.fromkeys(name for row in rows[1:] for name in row[:3]))
     seen: dict[frozenset, Value] = {}
     for x, y, z, raw in rows[1:]:
-        for name in (x, y, z):
-            if name not in ground:
-                ground.append(name)
         key = frozenset((x, y, z))
         if len(key) != 3:
             raise MapError(f"triple ({x},{y},{z}) repeats a name")
@@ -291,12 +288,9 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
     rows = list(_map_rows(text, 3))
     if not rows or rows[0] != ["x", "y", "value"]:
         raise MapError("two-way map text must start with the header 'x y value'")
-    ground: list[str] = []
+    ground = list(dict.fromkeys(name for row in rows[1:] for name in row[:2]))
     seen: dict[frozenset, Symbol] = {}
     for x, y, raw in rows[1:]:
-        for name in (x, y):
-            if name not in ground:
-                ground.append(name)
         key = frozenset((x, y))
         if len(key) != 2:
             raise MapError(f"pair ({x},{y}) repeats a name")

@@ -1,10 +1,20 @@
 """Triplet extraction, BUILD consistency, and tree reconstruction from maps.
 
-The decision procedures reduce representability questions to sets of
-three-leaf statements: extract the triplets a representing tree would have
-to display, run BUILD, infer interior labels from the map, and verify the
-candidate exactly against the input.  The final verification is mandatory:
-BUILD can return a tree even when the map is not representable.
+Both decision procedures reduce to a two-way map and then to three-leaf
+statements: extract the triplets a representing tree would have to
+display, run BUILD, infer interior labels from the two-way map, and verify
+the candidate exactly against the input.  Plain-symbol maps get their
+two-way map by projecting through one leaf.  Multiset maps on five or more
+leaves recover each pair value from one five-point combination
+(conditions.pair_counts), in Theta(n^3) overall.  The final verification
+is mandatory: BUILD can return a tree even when the map is not
+representable.
+
+The triplet route for multiset maps (triplets_from_three_way,
+recover_two_way, is_fixed_cherry_map) extracts triplets from the
+three-way values directly, by a Theta(n^4) witness search.  The decision
+procedure does not use it; it stays public as an independent view of the
+same map.
 """
 
 from __future__ import annotations
@@ -13,9 +23,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .conditions import (classify_quartet, counts_combination, counts_singleton,
+                         pair_counts)
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    farris_project, three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, TripleMultiset
+# displayed_triplets is not called here; it stays importable from this module,
+# where callers look it up as an attribute.
 from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, Triplet,
                     TripletSet, collapse_to_discriminating, displayed_triplets)
 from .farris import farris_inverse
@@ -26,7 +40,6 @@ NOT_REPRESENTABLE = "not-representable"
 STAGE_TRIPLETS = "triplet-extraction"
 STAGE_BUILD = "build"
 STAGE_LABELS = "labelling-verification"
-STAGE_FIXED_CHERRY = "fixed-cherry"
 
 
 class NotUltrametricError(MapError):
@@ -205,6 +218,28 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
     return TwoWayMap.from_pairs(d.ground, table, d.symbols)
 
 
+def _recover_two_way_by_five_points(d: ThreeWayMap) -> TwoWayMap:
+    """Recover the pairwise map of a multiset map on |X| >= 5 with one
+    five-point combination per pair: {p,q} plus the first three other
+    ground leaves.  A representable map yields its true pair value from
+    every 5-subset; a combination that is not a single symbol raises
+    PairContradictionError, naming the pair, the 5-subset and the
+    combination."""
+    ground = d.ground
+    values = []
+    for p, q in combinations(ground, 2):
+        e, f, g = [n for n in ground[:5] if n != p and n != q][:3]
+        counts = pair_counts(d, p, q, e, f, g)
+        sym = counts_singleton(counts)
+        if sym is None:
+            five = [n for n in ground if n in (p, q, e, f, g)]
+            raise PairContradictionError(
+                (p, q), f"combination over ({','.join(five)}) is "
+                        f"{counts_combination(counts).text()}, not a single symbol")
+        values.append(sym)
+    return TwoWayMap(ground, values, d.symbols)
+
+
 # -- fixed-cherry maps ---------------------------------------------------------------
 
 def is_fixed_cherry_map(d: ThreeWayMap) -> Optional[tuple[frozenset, Symbol, Symbol]]:
@@ -241,21 +276,6 @@ def is_fixed_cherry_map(d: ThreeWayMap) -> Optional[tuple[frozenset, Symbol, Sym
         if v != want:
             return None
     return cherry, root, fan
-
-
-def _fixed_cherry_tree(d: ThreeWayMap, cherry: frozenset, root_sym: Symbol,
-                       fan_sym: Symbol) -> LabelledTree:
-    builder = TreeBuilder()
-    root = builder.add_vertex()
-    v = builder.add_vertex()
-    w = builder.add_vertex()
-    builder.add_edge(root, v)
-    builder.add_edge(root, w)
-    for name in d.ground:
-        leaf = builder.add_vertex(name)
-        builder.add_edge(v if name in cherry else w, leaf)
-    tree = builder.tree(ROOTED, root=root, leaf_order=d.ground)
-    return LabelledTree(tree, {root: root_sym, v: fan_sym, w: fan_sym}, d.symbols)
 
 
 # -- triplets from multiset maps -------------------------------------------------------
@@ -320,6 +340,26 @@ def _label_tree_from_two_way(shape: PhyloTree, d2: TwoWayMap) -> Optional[Labell
     return LabelledTree(shape, labels, d2.symbols)
 
 
+def _tree_from_two_way(d2: TwoWayMap, source: str) -> LabelledTree | ReconstructionOutcome:
+    """Triplets, BUILD and labelling of a two-way map: the labelled rooted
+    tree, or the negative outcome of the first stage that fails."""
+    try:
+        trips = triplets_from_two_way(d2)
+    except NotUltrametricError as err:
+        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
+                                     detail=str(err))
+    shape = build(trips, d2.ground)
+    if shape is None:
+        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
+                                     detail="triplets are not displayed by any tree")
+    labelled = _label_tree_from_two_way(shape, d2)
+    if labelled is None:
+        return ReconstructionOutcome(
+            NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
+            detail=f"no interior labelling matches the {source}")
+    return labelled
+
+
 # -- decision procedures ------------------------------------------------------------------
 
 def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None,
@@ -351,21 +391,9 @@ def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None,
         return first
     if r is None:
         r = d.ground[0]
-    projected = farris_project(d, r)
-    try:
-        trips = triplets_from_two_way(projected)
-    except NotUltrametricError as err:
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
-                                     detail=str(err))
-    shape = build(trips, projected.ground)
-    if shape is None:
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
-                                     detail="triplets are not displayed by any tree")
-    rooted = _label_tree_from_two_way(shape, projected)
-    if rooted is None:
-        return ReconstructionOutcome(
-            NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-            detail="no interior labelling matches the projected map")
+    rooted = _tree_from_two_way(farris_project(d, r), "projected map")
+    if isinstance(rooted, ReconstructionOutcome):
+        return rooted
     candidate = collapse_to_discriminating(farris_inverse(rooted, r))
     if three_way_from_unrooted(candidate) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
@@ -378,8 +406,17 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
     """Decide whether a multiset three-way map comes from a rooted labelled
     tree, and reconstruct the unique discriminating one if so (|X| >= 5).
 
-    Order of stages: fixed-cherry detection, triplet extraction, BUILD,
-    pairwise-map recovery and labelling, then exact verification.  On four
+    Order of stages on |X| >= 5:
+      1. pair recovery: one five-point combination per pair gives D(p,q); a
+         combination that is not a single symbol fails at
+         labelling-verification, as the map admits no pairwise labelling;
+      2. triplet extraction from the recovered pairwise map (a triple with
+         three distinct pair values fails here);
+      3. BUILD;
+      4. labelling of the BUILD tree from the recovered pairwise map;
+      5. collapse to the discriminating tree and exact verification of the
+         candidate against every triple of d (labelling-verification).
+    Every representable verdict comes from the exact verification.  On four
     leaves the quartet machinery takes over and uniqueness may fail.
     """
     if d.kind != KIND_MULTISET:
@@ -388,29 +425,14 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
         raise MapError("decide_ultrametric needs a ground set of size at least 4")
     if len(d.ground) == 4:
         return _decide_four_leaves(d)
-
-    fc = is_fixed_cherry_map(d)
-    if fc is not None:
-        cherry, root_sym, fan_sym = fc
-        tree = _fixed_cherry_tree(d, cherry, root_sym, fan_sym)
-        return ReconstructionOutcome(REPRESENTABLE, tree=tree, unique=True,
-                                     detail=f"fixed cherry {{{','.join(sorted(cherry))}}}")
-
-    trips = triplets_from_three_way(d)
-    shape = build(trips, d.ground)
-    if shape is None:
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
-                                     detail="extracted triplets are inconsistent")
     try:
-        pairwise = recover_two_way(d, displayed_triplets(shape))
+        pairwise = _recover_two_way_by_five_points(d)
     except PairContradictionError as err:
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
                                      detail=str(err))
-    labelled = _label_tree_from_two_way(shape, pairwise)
-    if labelled is None:
-        return ReconstructionOutcome(
-            NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-            detail="no interior labelling matches the recovered pairwise map")
+    labelled = _tree_from_two_way(pairwise, "recovered pairwise map")
+    if isinstance(labelled, ReconstructionOutcome):
+        return labelled
     candidate = collapse_to_discriminating(labelled)
     if three_way_from_rooted(candidate) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
@@ -422,7 +444,6 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
 def _decide_four_leaves(d: ThreeWayMap) -> ReconstructionOutcome:
     # Below the five-leaf guarantee: fall back on exhaustive search, and flag
     # the one pattern with multiple discriminating representations.
-    from .conditions import classify_quartet
     from .oracle import oracle_representable_three_way
 
     if len({s.name for s in d.image_symbols()}) > 3:

@@ -169,6 +169,30 @@ def test_formula_route_equals_matrix_route(seed):
         assert pair_combination(d, d.ground, p, q) == via_matrix
 
 
+def test_integer_kernel_agrees_with_matrix_route():
+    """The integer counts decide validity and the singleton exactly as the
+    rational matrix route does."""
+    from trisym.conditions import (counts_are_valid, counts_combination,
+                                   counts_singleton, pair_counts)
+
+    rng = random.Random(61003)
+    valid = invalid = 0
+    for names in (("A", "B"), ("A", "B", "C")):
+        table = SymbolTable(names)
+        for _ in range(100):
+            d = random_multiset_map(tuple("12345"), table, rng)
+            system = FivePointSystem(d, d.ground)
+            for (p, q), comb in zip(system.pair_order, system.pair_combinations()):
+                e, f, g = [n for n in d.ground if n not in (p, q)]
+                counts = pair_counts(d, p, q, e, f, g)
+                assert counts_are_valid(counts) == comb.is_valid()
+                assert counts_singleton(counts) == comb.singleton()
+                assert counts_combination(counts) == comb
+                valid += comb.is_valid()
+                invalid += not comb.is_valid()
+    assert valid and invalid
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_valid_combinations_are_singletons(seed):

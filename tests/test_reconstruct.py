@@ -319,6 +319,13 @@ def test_decide_ultrametric_block_map(block_value_map):
     assert out.failure_stage == STAGE_LABELS
 
 
+def test_decide_ultrametric_block_map_names_the_combination(block_value_map):
+    out = decide_ultrametric(block_value_map)
+    assert "pair (1,3)" in out.detail
+    assert "(1,2,3,4,5)" in out.detail
+    assert "(1/2)A+(1/2)B" in out.detail
+
+
 def test_decide_ultrametric_locally_consistent(locally_consistent_map):
     out = decide_ultrametric(locally_consistent_map)
     assert not out.representable
@@ -344,6 +351,35 @@ def test_decide_matches_conditions_randomly(ab_table):
         d = random_multiset_map(tuple("12345"), ab_table, rng)
         clean = not check_three_way_ultrametric(d, stop_after=1)
         assert decide_ultrametric(d).representable == clean
+
+
+def test_decide_matches_conditions_beyond_the_oracle():
+    """Seeded discriminating trees on 7-9 leaves over A,B,C, too many for the
+    oracle, each with two one-cell mutants: the decision procedure agrees
+    with the P conditions, and every clean map rebuilds its tree."""
+    from trisym import check_three_way_ultrametric
+    from trisym.maps import ThreeWayMap
+    from conftest import multiset_alphabet
+
+    rng = random.Random(90217)
+    negatives = 0
+    for seed in range(30):
+        lt = random_labelled_tree(seed, 7 + seed % 3, ROOTED,
+                                  symbol_names=("A", "B", "C"), discriminating=True)
+        d = three_way_from_rooted(lt)
+        out = decide_ultrametric(d)
+        assert out.representable and labelled_isomorphic(out.tree, lt), repr(lt)
+        assert not check_three_way_ultrametric(d, stop_after=1)
+        alphabet = multiset_alphabet(d.symbols)
+        for _ in range(2):
+            values = list(d.values)
+            i = rng.randrange(len(values))
+            values[i] = rng.choice([v for v in alphabet if v != values[i]])
+            mutant = ThreeWayMap(d.kind, d.ground, values, d.symbols)
+            decided = decide_ultrametric(mutant).representable
+            assert decided == (not check_three_way_ultrametric(mutant, stop_after=1))
+            negatives += not decided
+    assert negatives > 0
 
 
 def test_outcome_text(five_leaf_rooted, block_value_map):
