@@ -3,16 +3,19 @@
 Values live in dense tables indexed by the lexicographic rank of the subset
 over the ordered ground set, so lookups are O(1) and serialization order is
 deterministic.  Maps are total by construction; partial data is a load-time
-error, not a representable state.
+error, not a representable state.  Lookups by name go through a rank index
+built on a map's first value() call; equality and the constructions from
+trees work on positions instead.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .symbols import Symbol, SymbolTable, TripleMultiset, parse_multiset
-from .trees import LabelledTree, ROOTED, UNROOTED, TreeError
+from .trees import LabelledTree, ROOTED, UNROOTED, TreeError, median_of, table_triples
 
 KIND_SYMBOL = "symbol"
 KIND_MULTISET = "multiset"
@@ -28,10 +31,26 @@ def _rank_index(ground: Sequence[str], k: int) -> dict[frozenset, int]:
     return {frozenset(c): i for i, c in enumerate(combinations(ground, k))}
 
 
+def _triple_ranks(ground: Sequence[str], other: Sequence[str]) -> list[int]:
+    """For each 3-subset of ground, in combinations order, its rank among
+    the 3-subsets of other, an ordering of the same names: one position map,
+    then the closed-form lexicographic rank first[a] - second[b] + c of the
+    positions a < b < c."""
+    n = len(other)
+    pos = {name: i for i, name in enumerate(other)}
+    first = [comb(n, 3) - comb(n - a, 3) + comb(n - a - 1, 2) for a in range(n)]
+    second = [comb(n - b, 2) + b + 1 for b in range(n)]
+    ranks = []
+    for t in combinations([pos[name] for name in ground], 3):
+        a, b, c = sorted(t)
+        ranks.append(first[a] - second[b] + c)
+    return ranks
+
+
 class TwoWayMap:
     """A total map from 2-subsets of the ground set into symbols."""
 
-    __slots__ = ("ground", "values", "symbols", "_pos", "_rank")
+    __slots__ = ("ground", "values", "symbols", "_rank")
 
     def __init__(self, ground: Sequence[str], values: Sequence[Symbol],
                  symbols: SymbolTable):
@@ -45,8 +64,6 @@ class TwoWayMap:
         if len(self.values) != n * (n - 1) // 2:
             raise MapError("two-way map table is not total")
         self.symbols = symbols
-        self._pos = {name: i for i, name in enumerate(self.ground)}
-        self._rank = _rank_index(self.ground, 2)
 
     @classmethod
     def from_pairs(cls, ground: Sequence[str], table: Mapping[frozenset, Symbol] | Mapping[tuple, Symbol],
@@ -62,7 +79,11 @@ class TwoWayMap:
 
     def value(self, x: str, y: str) -> Symbol:
         try:
-            return self.values[self._rank[frozenset((x, y))]]
+            rank = self._rank
+        except AttributeError:  # the rank index is built on the first lookup
+            rank = self._rank = _rank_index(self.ground, 2)
+        try:
+            return self.values[rank[frozenset((x, y))]]
         except KeyError:
             raise MapError(f"pair ({x},{y}) is not in the map") from None
 
@@ -89,7 +110,7 @@ class ThreeWayMap:
     """A total map from 3-subsets of the ground set into symbols (kind
     'symbol') or size-3 multisets of symbols (kind 'multiset')."""
 
-    __slots__ = ("kind", "ground", "values", "symbols", "_pos", "_rank")
+    __slots__ = ("kind", "ground", "values", "symbols", "_rank")
 
     def __init__(self, kind: str, ground: Sequence[str], values: Sequence[Value],
                  symbols: SymbolTable):
@@ -110,8 +131,6 @@ class ThreeWayMap:
             if not isinstance(v, want):
                 raise MapError(f"value {v!r} does not match codomain kind {kind!r}")
         self.symbols = symbols
-        self._pos = {name: i for i, name in enumerate(self.ground)}
-        self._rank = _rank_index(self.ground, 3)
 
     @classmethod
     def from_triples(cls, kind: str, ground: Sequence[str],
@@ -127,7 +146,11 @@ class ThreeWayMap:
 
     def value(self, x: str, y: str, z: str) -> Value:
         try:
-            return self.values[self._rank[frozenset((x, y, z))]]
+            rank = self._rank
+        except AttributeError:  # the rank index is built on the first lookup
+            rank = self._rank = _rank_index(self.ground, 3)
+        try:
+            return self.values[rank[frozenset((x, y, z))]]
         except KeyError:
             raise MapError(f"triple ({x},{y},{z}) is not in the map") from None
 
@@ -149,9 +172,14 @@ class ThreeWayMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ThreeWayMap):
             return NotImplemented
-        if self.kind != other.kind or set(self.ground) != set(other.ground):
+        if self.kind != other.kind:
             return False
-        return all(v == other.value(*t) for t, v in self.triples())
+        if self.ground == other.ground:
+            return self.values == other.values
+        if set(self.ground) != set(other.ground):
+            return False
+        theirs = other.values
+        return self.values == tuple(theirs[r] for r in _triple_ranks(self.ground, other.ground))
 
     def __hash__(self) -> int:
         return hash((self.kind, frozenset(self.ground), frozenset(
@@ -160,24 +188,31 @@ class ThreeWayMap:
 
 # -- constructions from labelled trees ---------------------------------------
 
+def _vertex_labels(lt: LabelledTree) -> list[Optional[Symbol]]:
+    return [lt.labels.get(v) for v in range(lt.tree.n_vertices)]
+
+
 def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
     """D(x,y) = label of the least common ancestor, for a rooted labelled tree."""
     if lt.flavor != ROOTED:
         raise MapError("two_way_from_tree needs a rooted labelled tree")
-    ground = lt.leaf_order
-    values = [lt.lca_label(x, y) for x, y in combinations(ground, 2)]
-    return TwoWayMap(ground, values, lt.symbols)
+    label = _vertex_labels(lt)
+    lca = lt.tree.leaf_lca_table()
+    values = [label[lca[i][j]] for i, j in combinations(range(len(lca)), 2)]
+    return TwoWayMap(lt.leaf_order, values, lt.symbols)
 
 
 def three_way_from_unrooted(lt: LabelledTree) -> ThreeWayMap:
-    """delta(x,y,z) = label of the median vertex, for an unrooted labelled tree."""
+    """delta(x,y,z) = label of the median vertex, for an unrooted labelled
+    tree: the deepest of the three pairwise lcas in one leaf-lca table."""
     if lt.flavor != UNROOTED:
         raise MapError("three_way_from_unrooted needs an unrooted labelled tree")
     if len(lt.leaf_order) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
-    ground = lt.leaf_order
-    values = [lt.median_label(x, y, z) for x, y, z in combinations(ground, 3)]
-    return ThreeWayMap(KIND_SYMBOL, ground, values, lt.symbols)
+    label = _vertex_labels(lt)
+    values = [label[median_of(xy, xz, yz)]
+              for xy, xz, yz in table_triples(lt.tree.leaf_lca_table())]
+    return ThreeWayMap(KIND_SYMBOL, lt.leaf_order, values, lt.symbols)
 
 
 def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
@@ -185,12 +220,10 @@ def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
     labelled tree."""
     if lt.flavor != ROOTED:
         raise MapError("three_way_from_rooted needs a rooted labelled tree")
-    ground = lt.leaf_order
-    values = [
-        TripleMultiset.of(lt.lca_label(x, y), lt.lca_label(x, z), lt.lca_label(y, z))
-        for x, y, z in combinations(ground, 3)
-    ]
-    return ThreeWayMap(KIND_MULTISET, ground, values, lt.symbols)
+    label = _vertex_labels(lt)
+    values = [TripleMultiset.of(label[xy], label[xz], label[yz])
+              for xy, xz, yz in table_triples(lt.tree.leaf_lca_table())]
+    return ThreeWayMap(KIND_MULTISET, lt.leaf_order, values, lt.symbols)
 
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:

@@ -31,7 +31,8 @@ from .symbols import Symbol, TripleMultiset
 # displayed_triplets is not called here; it stays importable from this module,
 # where callers look it up as an attribute.
 from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, Triplet,
-                    TripletSet, collapse_to_discriminating, displayed_triplets)
+                    TripletSet, collapse_to_discriminating, displayed_triplets,
+                    table_triples)
 from .farris import farris_inverse
 
 REPRESENTABLE = "representable"
@@ -95,9 +96,14 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
     """Per 3-subset, emit xy|z when D(x,y) differs from the two equal other
     values; all-equal subsets emit nothing; three distinct values raise
     NotUltrametricError."""
+    ground = d.ground
+    n = len(ground)
+    # symbols are equal exactly when their names are, and names compare in C
+    table: list[list[str]] = [[""] * n for _ in range(n)]
+    for (i, j), v in zip(combinations(range(n), 2), d.values):
+        table[i][j] = v.name
     found = set()
-    for x, y, z in combinations(d.ground, 3):
-        vxy, vxz, vyz = d.value(x, y), d.value(x, z), d.value(y, z)
+    for (x, y, z), (vxy, vxz, vyz) in zip(combinations(ground, 3), table_triples(table)):
         if vxy == vxz == vyz:
             continue
         if vxz == vyz != vxy:
@@ -108,7 +114,7 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
             found.add(Triplet.of(y, z, x))
         else:
             raise NotUltrametricError((x, y, z))
-    return TripletSet(d.ground, frozenset(found))
+    return TripletSet(ground, frozenset(found))
 
 
 # -- BUILD ------------------------------------------------------------------------
@@ -124,47 +130,64 @@ def build(triplets: Iterable[Triplet] | TripletSet,
 
     Recursion: connect x,y for every triplet xy|z whose three leaves lie in
     the current set, recurse on the connected components, and fail when the
-    set does not split.  One child per component, so the result is the
-    minimally resolved consistent tree.
+    set does not split.  One child per component, in ground-set order of
+    their first leaves, so the result is the minimally resolved consistent
+    tree.  Triplets are encoded once as ground-set indices, and each level
+    hands a triplet down only to the component holding all three of its
+    leaves; the others are resolved there for good.  The total work is the
+    sum of the level sizes, not the depth times the number of triplets.
     """
-    trips = list(triplets.triplets if isinstance(triplets, TripletSet) else triplets)
     ground = tuple(ground)
     pos = {name: i for i, name in enumerate(ground)}
-    for t in trips:
-        if not t.leaves <= set(ground):
-            raise TreeError(f"triplet {t!r} uses names outside the ground set")
+    coded = []
+    for t in triplets:
+        a, b = t.cherry
+        try:
+            coded.append((pos[a], pos[b], pos[t.outlier]))
+        except KeyError:
+            raise TreeError(f"triplet {t!r} uses names outside the ground set") from None
     builder = TreeBuilder()
+    uf = list(range(len(ground)))
+    comp_of = [0] * len(ground)
 
-    def rec(names: tuple[str, ...]) -> int:
-        if len(names) == 1:
-            return builder.add_vertex(names[0])
-        here = set(names)
-        parent = {n: n for n in names}
+    def find(a: int) -> int:
+        while uf[a] != a:
+            uf[a] = uf[uf[a]]
+            a = uf[a]
+        return a
 
-        def find(a: str) -> str:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for t in trips:
-            if t.leaves <= here:
-                a, b = t.cherry
-                parent[find(a)] = find(b)
-        comps: dict[str, list[str]] = {}
-        for n in names:
-            comps.setdefault(find(n), []).append(n)
+    def rec(leaves: list[int], here: list[tuple[int, int, int]]) -> int:
+        if len(leaves) == 1:
+            return builder.add_vertex(ground[leaves[0]])
+        for a in leaves:
+            uf[a] = a
+        for a, b in {(a, b) for a, b, _ in here}:
+            uf[find(a)] = find(b)
+        comps: dict[int, list[int]] = {}
+        for a in leaves:
+            comps.setdefault(find(a), []).append(a)
         if len(comps) == 1:
             raise _Inconsistent
+        # leaves are in ground order, so each component's first leaf is its
+        # smallest and the dict keeps the components in ground order
+        parts = list(comps.values())
+        below: list[list[tuple[int, int, int]]] = [[] for _ in parts]
+        for k, comp in enumerate(parts):
+            for a in comp:
+                comp_of[a] = k
+        for t in here:
+            k = comp_of[t[0]]
+            if comp_of[t[2]] == k:
+                below[k].append(t)
         v = builder.add_vertex()
-        for comp in sorted(comps.values(), key=lambda c: pos[c[0]]):
-            builder.add_edge(v, rec(tuple(comp)))
+        for comp, sub in zip(parts, below):
+            builder.add_edge(v, rec(comp, sub))
         return v
 
     if len(ground) < 2:
         raise TreeError("BUILD needs at least two leaves")
     try:
-        root = rec(ground)
+        root = rec(list(range(len(ground))), coded)
     except _Inconsistent:
         return None
     return builder.tree(ROOTED, root=root, leaf_order=ground)
@@ -326,10 +349,11 @@ def _witnessed(d: ThreeWayMap, x: str, y: str, z: str) -> bool:
 def _label_tree_from_two_way(shape: PhyloTree, d2: TwoWayMap) -> Optional[LabelledTree]:
     """Label each interior vertex with the pair value shared by all leaf pairs
     whose lca it is; None on any conflict."""
+    lca = shape.leaf_lca_table()
+    index = {name: i for i, name in enumerate(shape.leaf_order)}
     labels: dict[int, Symbol] = {}
-    for x, y in combinations(shape.leaf_order, 2):
-        v = shape.lca(x, y)
-        val = d2.value(x, y)
+    for (x, y), val in d2.pairs():
+        v = lca[index[x]][index[y]]
         if v in labels:
             if labels[v] != val:
                 return None

@@ -4,6 +4,12 @@ Vertices are dense integer indices.  Leaves carry distinct names, interior
 vertices carry none; in a LabelledTree every interior vertex additionally
 carries a Symbol.  Trees are immutable after construction and all queries
 are pure, so instances are safe to share.
+
+Whole-tree constructions (lca maps, median maps, displayed triplets) read
+one all-pairs leaf-lca table, PhyloTree.leaf_lca_table, built in O(n^2)
+from a single walk.  An unrooted tree is rooted at an arbitrary vertex for
+it: the median of a triple is the deepest of its three pairwise lcas under
+any rooting.  PhyloTree.lca and PhyloTree.median answer single queries.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class TripletSet:
     def __post_init__(self) -> None:
         names = set(self.ground)
         for t in self.triplets:
-            if not t.leaves <= names:
+            if t.outlier not in names or not t.cherry <= names:
                 raise TreeError(f"triplet {t!r} uses names outside the ground set")
 
     def __len__(self) -> int:
@@ -235,14 +241,7 @@ class PhyloTree:
         u, v = self.vertex_of(x), self.vertex_of(y)
         if u == v:
             raise TreeError("lca needs two distinct leaves")
-        while self.depth[u] > self.depth[v]:
-            u = self.parent[u]  # type: ignore[assignment]
-        while self.depth[v] > self.depth[u]:
-            v = self.parent[v]  # type: ignore[assignment]
-        while u != v:
-            u = self.parent[u]  # type: ignore[assignment]
-            v = self.parent[v]  # type: ignore[assignment]
-        return u
+        return _climb(self.parent, self.depth, u, v)
 
     def leaves_below(self, v: int) -> frozenset[str]:
         if self.flavor != ROOTED:
@@ -256,41 +255,102 @@ class PhyloTree:
             stack.extend(self.children[w])
         return frozenset(out)
 
-    # -- paths and medians (unrooted) --------------------------------------
+    # -- all-pairs lcas and medians -----------------------------------------
 
-    def path_vertices(self, x: str, y: str) -> list[int]:
-        """The vertex sequence of the unique path between two leaves."""
-        u, v = self.vertex_of(x), self.vertex_of(y)
-        prev: dict[int, int] = {u: u}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                break
-            for z in self.adj[w]:
-                if z not in prev:
-                    prev[z] = w
-                    queue.append(z)
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+    def _walk(self) -> tuple[list[int], list[int], list[int]]:
+        """One walk from the root, or from vertex 0 of an unrooted tree:
+        the vertices in breadth-first order, their parents (-1 at the
+        start) and their depths."""
+        start = self.root if self.flavor == ROOTED else 0
+        parent = [-1] * len(self.adj)
+        depth = [0] * len(self.adj)
+        order = [start]
+        for v in order:
+            for w in self.adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    order.append(w)
+        return order, parent, depth
+
+    def leaf_lca_table(self) -> list[list[int]]:
+        """lca[i][j] for leaves i, j indexed by leaf_order: their least
+        common ancestor with the tree rooted at its root, or at vertex 0 when
+        unrooted; lca[i][i] is the leaf itself.
+
+        Every pair is filled once, at the vertex where the two leaves'
+        subtrees meet, so the table costs O(n^2) after one walk.  Under any
+        rooting, two of the three pairwise lcas of a leaf triple coincide and
+        the third, the deepest, is the triple's median.
+        """
+        order, parent, _ = self._walk()
+        index = {self.leaf_vertex[name]: i for i, name in enumerate(self.leaf_order)}
+        n = len(index)
+        lca = [[0] * n for _ in range(n)]
+        below: list[list[int]] = [[] for _ in self.adj]
+        for v in reversed(order):
+            acc = below[v]
+            if v in index:
+                i = index[v]
+                lca[i][i] = v
+                acc.append(i)
+            for w in self.adj[v]:
+                if w == parent[v]:
+                    continue
+                kids = below[w]
+                for i in acc:
+                    row = lca[i]
+                    for j in kids:
+                        row[j] = v
+                        lca[j][i] = v
+                acc.extend(kids)
+                below[w] = []
+        return lca
 
     def median(self, x: str, y: str, z: str) -> int:
-        """The unique vertex lying on all three pairwise paths (unrooted trees)."""
+        """The unique vertex lying on all three pairwise paths (unrooted
+        trees): the deepest of the three pairwise lcas under any rooting."""
         if self.flavor != UNROOTED:
             raise TreeError("median is defined on unrooted trees")
         if len({x, y, z}) != 3:
             raise TreeError("median needs three distinct leaves")
-        common = (
-            set(self.path_vertices(x, y))
-            & set(self.path_vertices(x, z))
-            & set(self.path_vertices(y, z))
-        )
-        if len(common) != 1:
-            raise TreeError("median is not unique; tree structure is corrupt")
-        return common.pop()
+        u, v, w = self.vertex_of(x), self.vertex_of(y), self.vertex_of(z)
+        _, parent, depth = self._walk()
+        return median_of(_climb(parent, depth, u, v), _climb(parent, depth, u, w),
+                         _climb(parent, depth, v, w))
+
+
+def _climb(parent: Sequence, depth: Sequence[int], u: int, v: int) -> int:
+    """The lca of u and v by climbing parent pointers from the deeper one."""
+    while depth[u] > depth[v]:
+        u = parent[u]
+    while depth[v] > depth[u]:
+        v = parent[v]
+    while u != v:
+        u, v = parent[u], parent[v]
+    return u
+
+
+def median_of(xy: int, xz: int, yz: int) -> int:
+    """The median of a leaf triple from its three pairwise lcas under one
+    rooting: two of them coincide and the third is the deepest."""
+    if xy == xz:
+        return yz
+    return xz if xy == yz else xy
+
+
+def table_triples(table: Sequence[Sequence]) -> Iterator[tuple]:
+    """(t[i][j], t[i][k], t[j][k]) for every index triple i < j < k, in
+    combinations order, reading only the upper triangle of a square pair
+    table.  On a leaf_lca_table these are the three pairwise lcas of each
+    leaf triple."""
+    n = len(table)
+    for i in range(n):
+        row_i = table[i]
+        for j in range(i + 1, n):
+            xy, row_j = row_i[j], table[j]
+            for k in range(j + 1, n):
+                yield xy, row_i[k], row_j[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,8 +630,8 @@ def displayed_triplets(t: PhyloTree | LabelledTree) -> TripletSet:
     if tree.flavor != ROOTED:
         raise TreeError("displayed_triplets is defined on rooted trees")
     found = set()
-    for x, y, z in combinations(tree.leaf_order, 3):
-        xy, xz, yz = tree.lca(x, y), tree.lca(x, z), tree.lca(y, z)
+    for (x, y, z), (xy, xz, yz) in zip(combinations(tree.leaf_order, 3),
+                                       table_triples(tree.leaf_lca_table())):
         if xz == yz != xy:
             found.add(Triplet.of(x, y, z))
         elif xy == yz != xz:

@@ -27,7 +27,7 @@ from trisym import (
     two_way_from_tree,
 )
 from trisym.reconstruct import STAGE_BUILD, STAGE_LABELS
-from trisym.trees import ROOTED, UNROOTED
+from trisym.trees import ROOTED, TreeBuilder, UNROOTED
 
 from conftest import constant_multiset_map, multiset_map, pivot_leaf_map
 from test_trees import random_labelled_tree, seeds
@@ -77,6 +77,15 @@ def test_build_block_triplets(block_value_map):
     assert set(displayed_triplets(tree)) == set(trips)
 
 
+def test_build_rejects_foreign_names_and_tiny_ground_sets():
+    from trisym import TreeError
+
+    with pytest.raises(TreeError, match="outside the ground set"):
+        build([Triplet.of("1", "2", "3"), Triplet.of("1", "2", "9")], ("1", "2", "3"))
+    with pytest.raises(TreeError, match="at least two leaves"):
+        build([], ("1",))
+
+
 def test_build_empty_gives_star():
     tree = build([], ("1", "2", "3", "4"))
     assert tree is not None
@@ -97,6 +106,73 @@ def test_build_never_drops_triplets():
             covered = any(picks <= set(displayed_triplets(shape))
                           for shape in enumerate_shapes(ROOTED, names))
             assert not covered
+
+
+def reference_build(triplets, ground):
+    """BUILD by rescanning, the reference for build: every level scans every
+    triplet for those whose three leaves lie inside its leaf set."""
+    trips = list(triplets)
+    pos = {name: i for i, name in enumerate(ground)}
+    builder = TreeBuilder()
+
+    def rec(names):
+        if len(names) == 1:
+            return builder.add_vertex(names[0])
+        here = set(names)
+        parent = {n: n for n in names}
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for t in trips:
+            if t.leaves <= here:
+                a, b = t.cherry
+                parent[find(a)] = find(b)
+        comps = {}
+        for n in names:
+            comps.setdefault(find(n), []).append(n)
+        if len(comps) == 1:
+            return None
+        v = builder.add_vertex()
+        for comp in sorted(comps.values(), key=lambda c: pos[c[0]]):
+            child = rec(tuple(comp))
+            if child is None:
+                return None
+            builder.add_edge(v, child)
+        return v
+
+    root = rec(tuple(ground))
+    return None if root is None else builder.tree(ROOTED, root=root, leaf_order=ground)
+
+
+def test_build_matches_the_rescanning_reference():
+    """Seeded triplet sets on 4-12 leaves, half drawn at random and half from
+    the triplets of a random tree (plus, sometimes, one random extra): the
+    same tree, vertex for vertex, or None in the same cases."""
+    rng = random.Random(6007)
+    outcomes = {True: 0, False: 0}
+    for seed in range(300):
+        n = 4 + seed % 9
+        names = [str(i + 1) for i in range(n)]
+        if seed % 2:
+            trips = {Triplet.of(*rng.sample(names, 3)) for _ in range(rng.randrange(1, 3 * n))}
+        else:
+            shown = sorted(displayed_triplets(random_labelled_tree(seed, n, ROOTED)), key=repr)
+            trips = set(rng.sample(shown, rng.randrange(len(shown) + 1)))
+            if rng.random() < 0.3:
+                trips.add(Triplet.of(*rng.sample(names, 3)))
+        rng.shuffle(names)
+        got, want = build(trips, names), reference_build(trips, names)
+        outcomes[got is None] += 1
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.adj, got.root, got.leaf_name, got.leaf_order) == \
+                (want.adj, want.root, want.leaf_name, want.leaf_order)
+    assert outcomes[True] > 50 and outcomes[False] > 50
 
 
 # -- fixed-cherry maps ------------------------------------------------------------------
@@ -380,6 +456,54 @@ def test_decide_matches_conditions_beyond_the_oracle():
             assert decided == (not check_three_way_ultrametric(mutant, stop_after=1))
             negatives += not decided
     assert negatives > 0
+
+
+def decision_agrees_with_conditions(flavor, seeds, lo, hi):
+    """Seeded discriminating trees on lo-hi leaves over A,B,C, each with two
+    one-cell mutants: the decision procedure agrees with the conditions (P
+    for rooted trees, M for unrooted ones), and every clean map rebuilds its
+    tree.  Returns the number of mutants decided not representable."""
+    from trisym import check_three_way_ultrametric, check_tree_map
+    from trisym.maps import ThreeWayMap
+    from conftest import multiset_alphabet
+
+    if flavor == ROOTED:
+        construct, decide, check = (three_way_from_rooted, decide_ultrametric,
+                                    check_three_way_ultrametric)
+    else:
+        construct, decide, check = three_way_from_unrooted, decide_tree_map, check_tree_map
+    rng = random.Random(90217)
+    negatives = 0
+    for seed in seeds:
+        lt = random_labelled_tree(seed, lo + seed % (hi - lo + 1), flavor,
+                                  symbol_names=("A", "B", "C"), discriminating=True)
+        d = construct(lt)
+        out = decide(d)
+        assert out.representable and labelled_isomorphic(out.tree, lt), repr(lt)
+        assert not check(d, stop_after=1)
+        alphabet = list(d.symbols) if flavor == UNROOTED else multiset_alphabet(d.symbols)
+        for _ in range(2):
+            values = list(d.values)
+            i = rng.randrange(len(values))
+            values[i] = rng.choice([v for v in alphabet if v != values[i]])
+            mutant = ThreeWayMap(d.kind, d.ground, values, d.symbols)
+            decided = decide(mutant).representable
+            assert decided == (not check(mutant, stop_after=1))
+            negatives += not decided
+    return negatives
+
+
+def test_decide_tree_map_matches_conditions_beyond_the_oracle():
+    """The unrooted twin of test_decide_matches_conditions_beyond_the_oracle:
+    30 discriminating unrooted trees on 7-9 leaves, against the M conditions."""
+    assert decision_agrees_with_conditions(UNROOTED, range(30), 7, 9) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flavor", [ROOTED, UNROOTED])
+def test_decide_matches_conditions_on_larger_trees(flavor):
+    """The larger slice of both differential tests: 100 trees on 10-16 leaves."""
+    assert decision_agrees_with_conditions(flavor, range(1000, 1100), 10, 16) > 0
 
 
 def test_outcome_text(five_leaf_rooted, block_value_map):

@@ -18,7 +18,8 @@ from trisym import (
     parse_tree,
     tree_to_text,
 )
-from trisym.trees import LabelledTree, ROOTED, TreeBuilder, UNROOTED
+from trisym.trees import (LabelledTree, ROOTED, TreeBuilder, UNROOTED, median_of,
+                          table_triples)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -217,6 +218,93 @@ def test_unknown_leaf_raises(five_leaf_rooted, five_leaf_unrooted):
         five_leaf_rooted.tree.lca("1", "9")
     with pytest.raises(TreeError):
         five_leaf_unrooted.tree.median("1", "2", "9")
+
+
+def test_median_rejects_repeated_leaves_and_rooted_trees(five_leaf_rooted,
+                                                         five_leaf_unrooted):
+    with pytest.raises(TreeError):
+        five_leaf_unrooted.tree.median("1", "2", "1")
+    with pytest.raises(TreeError):
+        five_leaf_rooted.tree.median("1", "2", "3")
+
+
+# -- the all-pairs leaf-lca table ----------------------------------------------------
+
+def renumbered(lt, rng):
+    """The same labelled tree with its vertices renumbered at random, a leaf
+    first: unrooted tables are rooted at vertex 0, so this roots them at a
+    leaf."""
+    tree = lt.tree
+    order = list(range(tree.n_vertices))
+    rng.shuffle(order)
+    first = next(v for v in order if tree.is_leaf(v))
+    order.remove(first)
+    order.insert(0, first)
+    new = {v: i for i, v in enumerate(order)}
+    builder = TreeBuilder()
+    for v in order:
+        builder.add_vertex(tree.leaf_name.get(v))
+    for u, w in tree.edges():
+        builder.add_edge(new[u], new[w])
+    root = new[tree.root] if tree.flavor == ROOTED else None
+    again = builder.tree(tree.flavor, root=root, leaf_order=tree.leaf_order)
+    return LabelledTree(again, {new[v]: s for v, s in lt.labels.items()}, lt.symbols)
+
+
+def start_lca_oracle(tree, start, x, y):
+    """The vertex of the x-y path nearest to start, by breadth-first distance:
+    the lca of x and y with the tree rooted at start."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for z in tree.adj[w]:
+                if z not in dist:
+                    dist[z] = dist[w] + 1
+                    nxt.append(z)
+        frontier = nxt
+    return min(bfs_path(tree, x, y), key=dist.__getitem__)
+
+
+def table_trees():
+    """Seeded random trees with 4-14 leaves and polytomies, rooted and
+    unrooted, as generated (interior vertex 0) and renumbered (leaf 0)."""
+    rng = random.Random(5113)
+    for seed in range(24):
+        for flavor in (ROOTED, UNROOTED):
+            lt = random_labelled_tree(seed, 4 + seed % 11, flavor)
+            yield lt
+            yield renumbered(lt, rng)
+
+
+def test_leaf_lca_table_matches_the_oracles():
+    leaf_rooted = 0
+    for lt in table_trees():
+        tree = lt.tree
+        lca = tree.leaf_lca_table()
+        leaf_rooted += tree.flavor == UNROOTED and tree.is_leaf(0)
+        for (i, x), (j, y) in combinations(enumerate(tree.leaf_order), 2):
+            if tree.flavor == ROOTED:
+                want = lca_oracle(tree, x, y)
+            else:
+                want = start_lca_oracle(tree, 0, x, y)
+            assert lca[i][j] == lca[j][i] == want
+        for i, x in enumerate(tree.leaf_order):
+            assert lca[i][i] == tree.vertex_of(x)
+    assert leaf_rooted > 0
+
+
+def test_median_from_lcas_matches_the_bfs_oracle():
+    for lt in table_trees():
+        tree = lt.tree
+        if tree.flavor != UNROOTED:
+            continue
+        from_table = [median_of(*t) for t in table_triples(tree.leaf_lca_table())]
+        for (x, y, z), med in zip(combinations(tree.leaf_order, 3), from_table):
+            want = median_oracle(tree, x, y, z)
+            assert med == want
+            assert tree.median(x, y, z) == tree.median(z, x, y) == want
 
 
 # -- induced subtrees ---------------------------------------------------------------
