@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,6 +22,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_DISAGREE = 3
+
+# map-from-tree refuses, as malformed input, a tree whose three-way map would
+# have more rows than this.  C(n,3) first exceeds it at 230 leaves.  A map
+# costs time and memory in proportion to its rows: the 1.3 million rows of a
+# 200-leaf tree took about 9 s and 360 MiB.
+MAX_MAP_ROWS = 2_000_000
 
 
 def _read(path: str) -> str:
@@ -44,6 +51,10 @@ def _load_map(path: str, codomain: str):
 
 def cmd_map_from_tree(args: argparse.Namespace) -> int:
     lt = trees.parse_tree(_read(args.input))
+    rows = math.comb(lt.tree.n_leaves, 3)
+    if rows > MAX_MAP_ROWS:
+        raise maps.MapError(f"a tree on {lt.tree.n_leaves} leaves has a map of {rows} rows, "
+                            f"above the limit of {MAX_MAP_ROWS}")
     if lt.flavor == trees.ROOTED:
         d = maps.three_way_from_rooted(lt)
     else:
@@ -211,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (maps.MapError, trees.TreeError, SymbolError, oracle.EnumerationError,
-            OSError) as err:
+            OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symbols import Symbol
-from .trees import LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, UNROOTED
+from .trees import LabelledTree, ROOTED, TreeError, UNROOTED, copy_below
 
 
 @dataclass(frozen=True)
@@ -32,36 +31,7 @@ def farris_transform(lt: LabelledTree, r: str) -> FarrisResult:
     if len(tree.leaf_order) < 4:
         raise TreeError("farris_transform needs at least 4 leaves")
     rv = tree.vertex_of(r)
-    (start,) = tree.adj[rv]
-
-    # A former neighbor of degree two would be left with a single child; the
-    # no-degree-two invariant makes this impossible for valid input, but a
-    # malformed structure is spliced through rather than crashing downstream.
-    start_parent = rv
-    while not tree.is_leaf(start):
-        below = [w for w in tree.adj[start] if w != start_parent]
-        if len(below) != 1:
-            break
-        start_parent, start = start, below[0]
-    if tree.is_leaf(start):
-        raise TreeError("removing the leaf does not leave a rootable tree")
-
-    builder = TreeBuilder()
-    labels: dict[int, Symbol] = {}
-    vmap: dict[int, int] = {}
-
-    def copy(v: int, parent: int) -> int:
-        if tree.is_leaf(v):
-            return builder.add_vertex(tree.leaf_name[v])
-        u = builder.add_vertex()
-        labels[u] = lt.labels[v]
-        vmap[v] = u
-        for w in tree.adj[v]:
-            if w != parent:
-                builder.add_edge(u, copy(w, v))
-        return u
-
-    root = copy(start, start_parent)
+    builder, labels, vmap, root = copy_below(lt, tree.adj[rv][0], rv, tree.leaf_vertex)
     order = [n for n in tree.leaf_order if n != r]
     rooted = builder.tree(ROOTED, root=root, leaf_order=order)
     return FarrisResult(LabelledTree(rooted, labels, lt.symbols), r, vmap)
@@ -78,19 +48,7 @@ def farris_inverse(lt: LabelledTree, r: str) -> LabelledTree:
     if r in tree.leaf_vertex:
         raise TreeError(f"leaf name {r!r} already occurs in the tree")
 
-    builder = TreeBuilder()
-    labels: dict[int, Symbol] = {}
-
-    def copy(v: int) -> int:
-        if tree.is_leaf(v):
-            return builder.add_vertex(tree.leaf_name[v])
-        u = builder.add_vertex()
-        labels[u] = lt.labels[v]
-        for w in tree.children[v]:
-            builder.add_edge(u, copy(w))
-        return u
-
-    root = copy(tree.root)
+    builder, labels, _, root = copy_below(lt, tree.root, -1, tree.leaf_vertex)
     leaf = builder.add_vertex(r)
     builder.add_edge(root, leaf)
     order = list(tree.leaf_order) + [r]

@@ -92,36 +92,24 @@ def rooted_shapes(leaves: Sequence[str]) -> Iterator[Shape]:
             yield from _grow_below(smaller, x)
 
 
-def _materialize_rooted(shape: Shape, order: Sequence[str]) -> PhyloTree:
+def _materialize(shape: tuple, extra_leaf: Optional[str],
+                 order: Sequence[str]) -> PhyloTree:
+    """The rooted tree of a shape or, given an extra leaf, the unrooted tree
+    with that leaf attached at the shape's root."""
     builder = TreeBuilder()
 
-    def walk(s: Shape) -> int:
+    def add(s: Shape) -> int:
         if isinstance(s, str):
             return builder.add_vertex(s)
         v = builder.add_vertex()
         for child in s:
-            builder.add_edge(v, walk(child))
+            builder.add_edge(v, add(child))
         return v
 
-    root = walk(shape)
-    return builder.tree(ROOTED, root=root, leaf_order=order)
-
-
-def _materialize_unrooted(shape: tuple, extra_leaf: str,
-                          order: Sequence[str]) -> PhyloTree:
-    builder = TreeBuilder()
-
-    def walk(s: Shape) -> int:
-        if isinstance(s, str):
-            return builder.add_vertex(s)
-        v = builder.add_vertex()
-        for child in s:
-            builder.add_edge(v, walk(child))
-        return v
-
-    top = walk(shape)
-    leaf = builder.add_vertex(extra_leaf)
-    builder.add_edge(top, leaf)
+    top = add(shape)
+    if extra_leaf is None:
+        return builder.tree(ROOTED, root=top, leaf_order=order)
+    builder.add_edge(top, builder.add_vertex(extra_leaf))
     return builder.tree(UNROOTED, leaf_order=order)
 
 
@@ -132,14 +120,14 @@ def enumerate_shapes(flavor: str, leaves: Sequence[str]) -> Iterator[PhyloTree]:
         if len(leaves) < 2:
             raise EnumerationError("rooted shapes need at least 2 leaves")
         for s in rooted_shapes(leaves):
-            yield _materialize_rooted(s, leaves)
+            yield _materialize(s, None, leaves)
         return
     if len(leaves) < 3:
         raise EnumerationError("unrooted shapes need at least 3 leaves")
     for s in rooted_shapes(leaves[:-1]):
         if isinstance(s, str):
             continue
-        yield _materialize_unrooted(s, leaves[-1], leaves)
+        yield _materialize(s, leaves[-1], leaves)
 
 
 # -- labellings ----------------------------------------------------------------

@@ -119,23 +119,21 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
 
 # -- BUILD ------------------------------------------------------------------------
 
-class _Inconsistent(Exception):
-    pass
-
-
 def build(triplets: Iterable[Triplet] | TripletSet,
           ground: Sequence[str]) -> Optional[PhyloTree]:
     """The BUILD consistency procedure: a rooted phylogenetic tree on the
     ground set displaying every input triplet, or None when none exists.
 
-    Recursion: connect x,y for every triplet xy|z whose three leaves lie in
-    the current set, recurse on the connected components, and fail when the
-    set does not split.  One child per component, in ground-set order of
-    their first leaves, so the result is the minimally resolved consistent
-    tree.  Triplets are encoded once as ground-set indices, and each level
-    hands a triplet down only to the component holding all three of its
-    leaves; the others are resolved there for good.  The total work is the
-    sum of the level sizes, not the depth times the number of triplets.
+    Each leaf set connects x,y for every triplet xy|z whose three leaves lie
+    in it, splits into the connected components, and fails when it does not
+    split.  One child per component, in ground-set order of their first
+    leaves, so the result is the minimally resolved consistent tree.  The
+    leaf sets are taken from a stack in preorder, so vertices are numbered
+    as a recursive BUILD would number them.  Triplets are encoded once as
+    ground-set indices, and each set hands a triplet down only to the
+    component holding all three of its leaves; the others are resolved
+    there for good.  The total work is the sum of the set sizes, not the
+    depth times the number of triplets.
     """
     ground = tuple(ground)
     pos = {name: i for i, name in enumerate(ground)}
@@ -146,6 +144,8 @@ def build(triplets: Iterable[Triplet] | TripletSet,
             coded.append((pos[a], pos[b], pos[t.outlier]))
         except KeyError:
             raise TreeError(f"triplet {t!r} uses names outside the ground set") from None
+    if len(ground) < 2:
+        raise TreeError("BUILD needs at least two leaves")
     builder = TreeBuilder()
     uf = list(range(len(ground)))
     comp_of = [0] * len(ground)
@@ -156,41 +156,43 @@ def build(triplets: Iterable[Triplet] | TripletSet,
             a = uf[a]
         return a
 
-    def rec(leaves: list[int], here: list[tuple[int, int, int]]) -> int:
+    kids: list[list[int]] = []
+    tasks = [(-1, list(range(len(ground))), coded)]
+    while tasks:
+        up, leaves, here = tasks.pop()
         if len(leaves) == 1:
-            return builder.add_vertex(ground[leaves[0]])
-        for a in leaves:
-            uf[a] = a
-        for a, b in {(a, b) for a, b, _ in here}:
-            uf[find(a)] = find(b)
-        comps: dict[int, list[int]] = {}
-        for a in leaves:
-            comps.setdefault(find(a), []).append(a)
-        if len(comps) == 1:
-            raise _Inconsistent
-        # leaves are in ground order, so each component's first leaf is its
-        # smallest and the dict keeps the components in ground order
-        parts = list(comps.values())
-        below: list[list[tuple[int, int, int]]] = [[] for _ in parts]
-        for k, comp in enumerate(parts):
-            for a in comp:
-                comp_of[a] = k
-        for t in here:
-            k = comp_of[t[0]]
-            if comp_of[t[2]] == k:
-                below[k].append(t)
-        v = builder.add_vertex()
-        for comp, sub in zip(parts, below):
-            builder.add_edge(v, rec(comp, sub))
-        return v
-
-    if len(ground) < 2:
-        raise TreeError("BUILD needs at least two leaves")
-    try:
-        root = rec(list(range(len(ground))), coded)
-    except _Inconsistent:
-        return None
-    return builder.tree(ROOTED, root=root, leaf_order=ground)
+            v = builder.add_vertex(ground[leaves[0]])
+        else:
+            for a in leaves:
+                uf[a] = a
+            for a, b in {(a, b) for a, b, _ in here}:
+                uf[find(a)] = find(b)
+            comps: dict[int, list[int]] = {}
+            for a in leaves:
+                comps.setdefault(find(a), []).append(a)
+            if len(comps) == 1:
+                return None
+            # leaves are in ground order, so each component's first leaf is
+            # its smallest and the dict keeps the components in ground order
+            parts = list(comps.values())
+            below: list[list[tuple[int, int, int]]] = [[] for _ in parts]
+            for k, comp in enumerate(parts):
+                for a in comp:
+                    comp_of[a] = k
+            for t in here:
+                k = comp_of[t[0]]
+                if comp_of[t[2]] == k:
+                    below[k].append(t)
+            v = builder.add_vertex()
+            tasks.extend((v, comp, sub) for comp, sub in zip(reversed(parts), reversed(below)))
+        kids.append([])
+        if up >= 0:
+            kids[up].append(v)
+    # children first, then the parent, in every adjacency list
+    for v in reversed(range(len(kids))):
+        for w in kids[v]:
+            builder.add_edge(v, w)
+    return builder.tree(ROOTED, root=0, leaf_order=ground)
 
 
 # -- recovery of the two-way map ---------------------------------------------------
@@ -401,20 +403,23 @@ def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None,
         raise MapError("decide_tree_map applies to plain-symbol maps")
     if len(d.ground) < 4:
         raise MapError("decide_tree_map needs a ground set of size at least 4")
-    if check_all_leaves:
-        outcomes = [decide_tree_map(d, leaf) for leaf in d.ground]
-        first = outcomes[0]
-        for other in outcomes[1:]:
-            same = other.verdict == first.verdict
-            if same and first.tree is not None:
-                from .trees import labelled_isomorphic
+    if not check_all_leaves:
+        return _decide_through(d, d.ground[0] if r is None else r)
+    outcomes = [_decide_through(d, leaf) for leaf in d.ground]
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        same = other.verdict == first.verdict
+        if same and first.tree is not None:
+            from .trees import labelled_isomorphic
 
-                same = labelled_isomorphic(other.tree, first.tree)
-            if not same:
-                raise MapError("projection leaves disagree; internal inconsistency")
-        return first
-    if r is None:
-        r = d.ground[0]
+            same = labelled_isomorphic(other.tree, first.tree)
+        if not same:
+            raise MapError("projection leaves disagree; internal inconsistency")
+    return first
+
+
+def _decide_through(d: ThreeWayMap, r: str) -> ReconstructionOutcome:
+    """decide_tree_map through one projection leaf r."""
     rooted = _tree_from_two_way(farris_project(d, r), "projected map")
     if isinstance(rooted, ReconstructionOutcome):
         return rooted

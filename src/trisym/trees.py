@@ -5,20 +5,34 @@ vertices carry none; in a LabelledTree every interior vertex additionally
 carries a Symbol.  Trees are immutable after construction and all queries
 are pure, so instances are safe to share.
 
+Every traversal is one iterative depth-first walk (walk), so no tree
+operation is limited by the interpreter's recursion depth.  A PhyloTree
+takes the walk once, at construction, from its root or, when unrooted,
+from vertex 0; it derives parent, children and depth from it and keeps it
+for the queries below.  Copies, and text and canonical codes laid out from
+another vertex, take a walk of their own.  All of them build their result
+bottom-up, over the walk read in reverse.
+
+The trees that parsing, copying, BUILD and the oracle make list, in each
+vertex's adjacency, its children in order and then its parent, as a
+recursive construction would, and parsing, copying and BUILD number the
+vertices as that construction would.  The walk takes neighbours in
+adjacency order, so the text of such a tree keeps the order it was built
+in.
+
 Whole-tree constructions (lca maps, median maps, displayed triplets) read
 one all-pairs leaf-lca table, PhyloTree.leaf_lca_table, built in O(n^2)
-from a single walk.  An unrooted tree is rooted at an arbitrary vertex for
-it: the median of a triple is the deepest of its three pairwise lcas under
-any rooting.  PhyloTree.lca and PhyloTree.median answer single queries.
+over the stored walk.  An unrooted tree is rooted at vertex 0 for it: the
+median of a triple is the deepest of its three pairwise lcas under any
+rooting.  PhyloTree.lca and PhyloTree.median answer single queries.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .symbols import Symbol, SymbolTable
 
@@ -83,7 +97,9 @@ class TripletSet:
         return t in self.triplets
 
     def text(self) -> str:
-        return "\n".join(t.text() for t in sorted(self.triplets, key=repr)) + "\n"
+        """One 'a b | z' line per triplet (a < b), sorted by (a, b, z)."""
+        ordered = sorted(self.triplets, key=lambda t: (*sorted(t.cherry), t.outlier))
+        return "\n".join(t.text() for t in ordered) + "\n"
 
 
 def parse_triplets(text: str, ground: Sequence[str]) -> TripletSet:
@@ -111,7 +127,7 @@ class PhyloTree:
     """
 
     __slots__ = ("flavor", "adj", "root", "leaf_name", "leaf_vertex",
-                 "leaf_order", "parent", "children", "depth")
+                 "leaf_order", "parent", "children", "depth", "_walked")
 
     def __init__(
         self,
@@ -141,61 +157,36 @@ class PhyloTree:
         edge_count = sum(len(nbrs) for nbrs in self.adj) // 2
         if edge_count != n - 1:
             raise TreeError("vertex/edge count does not form a tree")
+        if flavor == UNROOTED and root is not None:
+            raise TreeError("unrooted tree cannot carry a root")
+        if flavor == ROOTED and (root is None or not (0 <= root < n)):
+            raise TreeError("rooted tree needs a valid root index")
+        order, parent = walk(self.adj, 0 if root is None else root)
+        if len(order) != n:
+            raise TreeError("tree is not connected")
+        self._walked = (order, parent)
+        self.root = root
 
         if flavor == ROOTED:
-            if root is None or not (0 <= root < n):
-                raise TreeError("rooted tree needs a valid root index")
-            self.root = root
-            parent: list[Optional[int]] = [None] * n
-            children: list[tuple[int, ...]] = [()] * n
+            children = [tuple(w for w in nbrs if w != p)
+                        for nbrs, p in zip(self.adj, parent)]
             depth = [0] * n
-            seen = {root}
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                kids = []
-                for w in self.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        kids.append(w)
-                        queue.append(w)
-                children[v] = tuple(kids)
-            if len(seen) != n:
-                raise TreeError("tree is not connected")
-            self.parent = tuple(parent)
+            for v in order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            self.parent = tuple(None if p < 0 else p for p in parent)
             self.children = tuple(children)
             self.depth = tuple(depth)
             for v in range(n):
-                is_leaf = v in self.leaf_name
-                if is_leaf and children[v]:
-                    raise TreeError(f"leaf {self.leaf_name[v]!r} has children")
-                if not is_leaf:
-                    if v == root:
-                        if n > 1 and len(children[v]) < 2:
-                            raise TreeError("root must have at least two children")
-                    elif len(children[v]) < 2:
-                        raise TreeError("interior vertex with a single child")
-                if not is_leaf and not children[v] and n > 1:
-                    raise TreeError("unnamed vertex of degree one")
+                if v in self.leaf_name:
+                    if children[v]:
+                        raise TreeError(f"leaf {self.leaf_name[v]!r} has children")
+                elif len(children[v]) < 2 and n > 1:
+                    raise TreeError("root must have at least two children" if v == root
+                                    else "interior vertex with a single child")
         else:
-            if root is not None:
-                raise TreeError("unrooted tree cannot carry a root")
-            self.root = None
             self.parent = ()
             self.children = ()
             self.depth = ()
-            seen = {0}
-            queue = deque([0])
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != n:
-                raise TreeError("tree is not connected")
             for v in range(n):
                 deg = len(self.adj[v])
                 if v in self.leaf_name:
@@ -241,37 +232,9 @@ class PhyloTree:
         u, v = self.vertex_of(x), self.vertex_of(y)
         if u == v:
             raise TreeError("lca needs two distinct leaves")
-        return _climb(self.parent, self.depth, u, v)
-
-    def leaves_below(self, v: int) -> frozenset[str]:
-        if self.flavor != ROOTED:
-            raise TreeError("leaves_below is defined on rooted trees")
-        out = []
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            if w in self.leaf_name:
-                out.append(self.leaf_name[w])
-            stack.extend(self.children[w])
-        return frozenset(out)
+        return _climb(self._walked[1], u, v)
 
     # -- all-pairs lcas and medians -----------------------------------------
-
-    def _walk(self) -> tuple[list[int], list[int], list[int]]:
-        """One walk from the root, or from vertex 0 of an unrooted tree:
-        the vertices in breadth-first order, their parents (-1 at the
-        start) and their depths."""
-        start = self.root if self.flavor == ROOTED else 0
-        parent = [-1] * len(self.adj)
-        depth = [0] * len(self.adj)
-        order = [start]
-        for v in order:
-            for w in self.adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    order.append(w)
-        return order, parent, depth
 
     def leaf_lca_table(self) -> list[list[int]]:
         """lca[i][j] for leaves i, j indexed by leaf_order: their least
@@ -279,11 +242,11 @@ class PhyloTree:
         unrooted; lca[i][i] is the leaf itself.
 
         Every pair is filled once, at the vertex where the two leaves'
-        subtrees meet, so the table costs O(n^2) after one walk.  Under any
-        rooting, two of the three pairwise lcas of a leaf triple coincide and
-        the third, the deepest, is the triple's median.
+        subtrees meet, so the table costs O(n^2) over the stored walk.  Under
+        any rooting, two of the three pairwise lcas of a leaf triple coincide
+        and the third, the deepest, is the triple's median.
         """
-        order, parent, _ = self._walk()
+        order, parent = self._walked
         index = {self.leaf_vertex[name]: i for i, name in enumerate(self.leaf_order)}
         n = len(index)
         lca = [[0] * n for _ in range(n)]
@@ -315,20 +278,47 @@ class PhyloTree:
         if len({x, y, z}) != 3:
             raise TreeError("median needs three distinct leaves")
         u, v, w = self.vertex_of(x), self.vertex_of(y), self.vertex_of(z)
-        _, parent, depth = self._walk()
-        return median_of(_climb(parent, depth, u, v), _climb(parent, depth, u, w),
-                         _climb(parent, depth, v, w))
+        parent = self._walked[1]
+        return median_of(_climb(parent, u, v), _climb(parent, u, w),
+                         _climb(parent, v, w))
 
 
-def _climb(parent: Sequence, depth: Sequence[int], u: int, v: int) -> int:
-    """The lca of u and v by climbing parent pointers from the deeper one."""
-    while depth[u] > depth[v]:
+def walk(adj: Sequence[Sequence[int]], start: int,
+         stop: int = -1) -> tuple[list[int], list[int]]:
+    """Iterative depth-first preorder from start, taking neighbours in
+    adjacency order and never stepping to stop; with each vertex's parent
+    (stop at start, -1 where the walk does not reach).  Read in reverse, the
+    order is a post-order: every vertex comes after all of its descendants.
+    Raises TreeError on meeting a vertex twice, i.e. on a cycle."""
+    parent = [-1] * len(adj)
+    parent[start] = stop
+    seen = [False] * len(adj)
+    order = []
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        if seen[v]:
+            raise TreeError(f"vertex {v} is reached twice: the graph has a cycle")
+        seen[v] = True
+        order.append(v)
+        up = parent[v]
+        for w in reversed(adj[v]):
+            if w != up:
+                parent[w] = v
+                stack.append(w)
+    return order, parent
+
+
+def _climb(parent: Sequence[int], u: int, v: int) -> int:
+    """The lca of u and v: the first vertex on v's path up that lies on
+    u's."""
+    above = set()
+    while u >= 0:
+        above.add(u)
         u = parent[u]
-    while depth[v] > depth[u]:
+    while v not in above:
         v = parent[v]
-    while u != v:
-        u, v = parent[u], parent[v]
-    return u
+    return v
 
 
 def median_of(xy: int, xz: int, yz: int) -> int:
@@ -448,35 +438,35 @@ def parse_newick(flavor: str, newick: str,
         raise TreeError("newick text must end with ';'")
     builder = TreeBuilder()
     labels: dict[int, Symbol] = {}
-
-    def sub(i: int) -> tuple[int, int]:
-        if tokens[i] == "(":
+    open_kids: list[list[int]] = []  # the children read so far of each open '('
+    i = 0
+    while True:
+        while tokens[i] == "(":
+            open_kids.append([])
             i += 1
-            kids = []
-            while True:
-                v, i = sub(i)
-                kids.append(v)
-                if tokens[i] == ",":
-                    i += 1
-                    continue
-                if tokens[i] == ")":
-                    i += 1
-                    break
-                raise TreeError("expected ',' or ')' in newick text")
-            if i >= len(tokens) or tokens[i] in "(),;":
-                raise TreeError("interior vertex is missing its label")
-            u = builder.add_vertex()
-            labels[u] = table.intern(tokens[i])
-            for k in kids:
-                builder.add_edge(u, k)
-            return u, i + 1
-        name = tokens[i]
-        if name in "(),;":
+        if tokens[i] in "(),;":
             raise TreeError("expected a leaf name")
-        return builder.add_vertex(name), i + 1
-
-    top, i = sub(0)
-    if tokens[i] != ";":
+        v = builder.add_vertex(tokens[i])
+        i += 1
+        # close every group that ends here; v is the subtree just finished
+        while open_kids and tokens[i] == ")":
+            open_kids[-1].append(v)
+            i += 1
+            if tokens[i] in "(),;":
+                raise TreeError("interior vertex is missing its label")
+            v = builder.add_vertex()
+            labels[v] = table.intern(tokens[i])
+            for k in open_kids.pop():
+                builder.add_edge(v, k)
+            i += 1
+        if not open_kids:
+            break
+        if tokens[i] != ",":
+            raise TreeError("expected ',' or ')' in newick text")
+        open_kids[-1].append(v)
+        i += 1
+    top = v
+    if i != len(tokens) - 1:  # tokens[-1] is the ';'
         raise TreeError("trailing tokens after the tree")
     if top in builder.names:
         raise TreeError("a tree needs at least two leaves")
@@ -491,19 +481,29 @@ def to_newick(lt: LabelledTree) -> str:
     """Serialize a labelled tree to newick text (without the flavor header)."""
     tree = lt.tree
     if tree.flavor == ROOTED:
-        start, exclude = tree.root, None
+        start = tree.root
     else:
         # lay the tree out from the interior vertex next to the first leaf
-        first = tree.vertex_of(tree.leaf_order[0])
-        start, exclude = tree.adj[first][0], None
+        start = tree.adj[tree.vertex_of(tree.leaf_order[0])][0]
+    return _bottom_up(tree, start, lambda v: tree.leaf_name[v],
+                      lambda v, kids: "(" + ",".join(kids) + ")" + lt.labels[v].name) + ";"
 
-    def walk(v: int, parent: Optional[int]) -> str:
-        if tree.is_leaf(v):
-            return tree.leaf_name[v]
-        parts = [walk(w, v) for w in tree.adj[v] if w != parent]
-        return "(" + ",".join(parts) + ")" + lt.labels[v].name
 
-    return walk(start, exclude) + ";"
+def _bottom_up(tree: PhyloTree, start: int, leaf: Callable[[int], str],
+               interior: Callable[[int, list[str]], str]) -> str:
+    """Fold the tree laid out from start into one string, children first:
+    leaf(v) at a leaf, interior(v, the strings of v's children in adjacency
+    order) at an interior vertex."""
+    order, parent = tree._walked
+    if order[0] != start:
+        order, parent = walk(tree.adj, start)
+    done: dict[int, str] = {}
+    for v in reversed(order):
+        if v in tree.leaf_name:
+            done[v] = leaf(v)
+        else:
+            done[v] = interior(v, [done.pop(w) for w in tree.adj[v] if w != parent[v]])
+    return done[start]
 
 
 def parse_tree(text: str, symbols: Optional[SymbolTable] = None) -> LabelledTree:
@@ -567,6 +567,43 @@ def collapse_to_discriminating(lt: LabelledTree) -> LabelledTree:
     return LabelledTree(newtree, new_labels, lt.symbols)
 
 
+def copy_below(lt: LabelledTree, start: int, stop: int, keep: Container[str]
+               ) -> tuple[TreeBuilder, dict[int, Symbol], dict[int, int], int]:
+    """Copy the part of lt's tree that hangs from start, away from stop,
+    keeping only the leaves named in keep.  Interior vertices left with one
+    child are suppressed and those left with none dropped.
+
+    Returns the builder, the labels of the copied interior vertices, the map
+    from each copied interior vertex to its copy, and the copy of start's
+    subtree.  Copies are numbered in preorder and each copy's adjacency
+    lists its children in order, then its parent, as a recursive copy would.
+    """
+    tree = lt.tree
+    order, parent = walk(tree.adj, start, stop)
+    kids: dict[int, list[int]] = {}  # the live children of every live vertex
+    for v in reversed(order):
+        if v in tree.leaf_name:
+            if tree.leaf_name[v] in keep:
+                kids[v] = []
+        else:
+            live = [w for w in tree.adj[v] if w != parent[v] and w in kids]
+            if live:
+                kids[v] = live
+    builder = TreeBuilder()
+    copy = {v: builder.add_vertex(tree.leaf_name.get(v))
+            for v in order if v in kids and len(kids[v]) != 1}
+    image: dict[int, int] = {}  # a suppressed vertex's image is its child's
+    for v in reversed(order):
+        if v in copy:
+            image[v] = copy[v]
+            for w in kids[v]:
+                builder.add_edge(copy[v], image[w])
+        elif v in kids:
+            image[v] = image[kids[v][0]]
+    vmap = {v: u for v, u in copy.items() if kids[v]}
+    return builder, {u: lt.labels[v] for v, u in vmap.items()}, vmap, image[start]
+
+
 def induced_subtree(lt: LabelledTree, leaves: Iterable[str]) -> LabelledTree:
     """The labelled tree spanned by a leaf subset, with degree-two vertices
     suppressed eagerly (rooted trees, |Y| >= 2).  Labels are carried along."""
@@ -579,45 +616,9 @@ def induced_subtree(lt: LabelledTree, leaves: Iterable[str]) -> LabelledTree:
     for name in keep_names:
         tree.vertex_of(name)
     keep = set(keep_names)
-
-    counts: dict[int, int] = {}
-
-    def count(v: int) -> int:
-        c = 1 if tree.leaf_name.get(v) in keep else 0
-        c += sum(count(w) for w in tree.children[v])
-        counts[v] = c
-        return c
-
-    count(tree.root)
-
-    top = tree.root
-    while True:
-        live = [w for w in tree.children[top] if counts[w] > 0]
-        if tree.leaf_name.get(top) in keep:
-            break
-        if len(live) == 1:
-            top = live[0]
-        else:
-            break
-
-    builder = TreeBuilder()
-    labels: dict[int, Symbol] = {}
-
-    def copy(v: int) -> int:
-        if tree.is_leaf(v):
-            return builder.add_vertex(tree.leaf_name[v])
-        live = [w for w in tree.children[v] if counts[w] > 0]
-        if len(live) == 1:
-            return copy(live[0])
-        u = builder.add_vertex()
-        labels[u] = lt.labels[v]
-        for w in live:
-            builder.add_edge(u, copy(w))
-        return u
-
-    new_root = copy(top)
+    builder, labels, _, root = copy_below(lt, tree.root, -1, keep)
     order = [n for n in tree.leaf_order if n in keep]
-    newtree = builder.tree(ROOTED, root=new_root, leaf_order=order)
+    newtree = builder.tree(ROOTED, root=root, leaf_order=order)
     return LabelledTree(newtree, labels, lt.symbols)
 
 
@@ -643,28 +644,28 @@ def displayed_triplets(t: PhyloTree | LabelledTree) -> TripletSet:
 
 # -- isomorphism --------------------------------------------------------------
 
-def canonical_form(t: PhyloTree | LabelledTree, with_labels: bool = True):
-    """A canonical nested-tuple code; equal codes mean isomorphic trees under
-    the identity on leaf names (and equal labels when with_labels)."""
+def canonical_form(t: PhyloTree | LabelledTree, with_labels: bool = True) -> str:
+    """A canonical code; equal codes mean isomorphic trees under the identity
+    on leaf names (and equal labels when with_labels).
+
+    The code is a flat string, so comparing the codes of deep trees needs no
+    recursion: leaf names and labels are written by repr, which quotes them,
+    and the codes of each vertex's children are sorted."""
     if isinstance(t, LabelledTree):
         tree, labels = t.tree, t.labels
     else:
         tree, labels = t, None
     if not with_labels:
         labels = None
-
-    def code(v: int, parent: Optional[int]):
-        if tree.is_leaf(v):
-            return ("L", tree.leaf_name[v])
-        name = labels[v].name if labels is not None else ""
-        kids = tuple(sorted(code(w, v) for w in tree.adj[v] if w != parent))
-        return ("I", name, kids)
-
     if tree.flavor == ROOTED:
-        return (ROOTED, code(tree.root, None))
-    pivot = tree.vertex_of(min(tree.leaf_order))
-    start = tree.adj[pivot][0]
-    return (UNROOTED, code(start, None))
+        start = tree.root
+    else:
+        start = tree.adj[tree.vertex_of(min(tree.leaf_order))][0]
+    code = _bottom_up(
+        tree, start, lambda v: repr(tree.leaf_name[v]),
+        lambda v, kids: "(" + ",".join(sorted(kids)) + ")"
+        + repr(labels[v].name if labels is not None else ""))
+    return f"{tree.flavor}:{code}"
 
 
 def labelled_isomorphic(a: LabelledTree, b: LabelledTree) -> bool:

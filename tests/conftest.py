@@ -127,6 +127,19 @@ def block_value_map(ab_table):
     return multiset_map(tuple("12345"), rows, ab_table)
 
 
+def caterpillar_text(n, flavor):
+    """A caterpillar on leaves 1..n in tree-file form, labelled A and B in
+    turn up its spine so that it is discriminating.  Rooted, it reads
+    ((...((1,2)A,3)B,...),n); unrooted, the spine stops at n-2 and its top
+    vertex also holds n-1 and n.  Depth grows with n, so this probes
+    recursion limits."""
+    m = n if flavor == "rooted" else n - 2
+    spine = "(" * (m - 1) + "1" + "".join(f",{k}){'AB'[k % 2]}" for k in range(2, m + 1))
+    if flavor == "unrooted":
+        spine = f"({spine},{n - 1},{n}){'AB'[(m + 1) % 2]}"
+    return f"{flavor}\n{spine};\n"
+
+
 def pivot_leaf_map(n, table):
     """Plain-symbol map sending a triple to A iff it contains leaf 1.
 

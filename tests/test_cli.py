@@ -1,4 +1,6 @@
 import json
+import random
+from math import comb
 
 import pytest
 
@@ -10,8 +12,10 @@ from trisym import (
     three_way_from_rooted,
     tree_to_text,
 )
-from trisym.cli import main
+from trisym.cli import MAX_MAP_ROWS, main
 from trisym.maps import KIND_MULTISET, KIND_SYMBOL
+
+from conftest import caterpillar_text
 
 
 def run(capsys, *argv):
@@ -168,3 +172,34 @@ def test_reports_are_deterministic(capsys, bad_map_file):
     _, first, _ = run(capsys, "check", bad_map_file, "--conditions", "P")
     _, second, _ = run(capsys, "check", bad_map_file, "--conditions", "P")
     assert first == second
+
+
+def test_undecodable_input_exit_code(capsys, tmp_path):
+    p = tmp_path / "random.bin"
+    p.write_bytes(bytes(random.Random(7).randrange(256) for _ in range(300)))
+    code, out, err = run(capsys, "reconstruct", str(p), "--codomain", "symbol")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_map_from_tree_refuses_oversized_maps(capsys, tmp_path):
+    assert comb(229, 3) <= MAX_MAP_ROWS < comb(230, 3)
+    for n in (230, 1200):
+        p = tmp_path / f"caterpillar{n}.tree"
+        p.write_text(caterpillar_text(n, "rooted"))
+        out_path = tmp_path / "map.tsv"
+        code, _, err = run(capsys, "map-from-tree", str(p), "-o", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
+
+def test_farris_on_deep_unrooted_tree(capsys, tmp_path):
+    p = tmp_path / "deep.tree"
+    p.write_text(caterpillar_text(5000, "unrooted"))
+    out_path = tmp_path / "rooted.tree"
+    code, _, err = run(capsys, "farris", str(p), "--leaf", "1", "-o", str(out_path))
+    assert code == 0, err
+    rooted = parse_tree(out_path.read_text())
+    assert rooted.flavor == "rooted" and rooted.tree.n_leaves == 4999

@@ -512,3 +512,20 @@ def test_outcome_text(five_leaf_rooted, block_value_map):
     assert "rooted" in good.text()
     bad = decide_ultrametric(block_value_map)
     assert "labelling-verification" in bad.text()
+
+
+def test_build_rebuilds_a_deep_caterpillar():
+    """1 k | k+1 for k = 2..n-1 forces the caterpillar, a chain of n-1
+    nested leaf sets; BUILD does about n^2/2 work on it, so n stays near
+    the recursion limit a recursive BUILD would hit."""
+    from trisym import parse_tree, shape_isomorphic
+
+    from conftest import caterpillar_text
+
+    n = 1200
+    names = [str(k) for k in range(1, n + 1)]
+    trips = [Triplet.of("1", str(k), str(k + 1)) for k in range(2, n)]
+    tree = build(trips, names)
+    assert tree is not None
+    want = parse_tree(caterpillar_text(n, ROOTED)).tree
+    assert shape_isomorphic(tree, want)

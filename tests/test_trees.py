@@ -18,8 +18,11 @@ from trisym import (
     parse_tree,
     tree_to_text,
 )
+from trisym.farris import farris_inverse, farris_transform
 from trisym.trees import (LabelledTree, ROOTED, TreeBuilder, UNROOTED, median_of,
-                          table_triples)
+                          table_triples, walk)
+
+from conftest import caterpillar_text
 
 
 # -- independent oracles -------------------------------------------------------
@@ -141,6 +144,12 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 def test_parse_rejects_missing_interior_label():
     with pytest.raises(TreeError):
         parse_newick("rooted", "((1,2),3)A;")
+
+
+def test_parse_rejects_text_after_the_tree():
+    for text in ("(1,2)A;(3,4)B;", "(1,2)A;;", "(1,2)A 3;", "(1,2)A);"):
+        with pytest.raises(TreeError, match="trailing"):
+            parse_newick(ROOTED, text)
 
 
 def test_parse_rejects_degree_two():
@@ -463,3 +472,118 @@ def test_triplet_parse_rejects_bad_lines():
         parse_triplets("1 2 3 | 4", ("1", "2", "3", "4"))
     with pytest.raises(TreeError):
         parse_triplets("1 2 | 9", ("1", "2", "3"))
+
+
+def test_triplet_set_text_does_not_depend_on_string_hashing():
+    """'1 12 | 10' and '11 2 | 10' both join to '112|10'; the text must order
+    them the same way under every hash seed."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("from trisym import parse_triplets\n"
+              "ground = [str(i) for i in range(1, 13)]\n"
+              "ts = parse_triplets('11 2 | 10\\n1 12 | 10\\n2 11 | 1\\n', ground)\n"
+              "print(ts.text(), end='')\n")
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outs.add(result.stdout)
+    assert outs == {"1 12 | 10\n11 2 | 1\n11 2 | 10\n"}
+
+
+# -- the one walk and deep trees ---------------------------------------------------
+
+def reference_walk(adj, start, stop=-1):
+    """A recursive depth-first preorder, the definition walk implements."""
+    order, parent = [], [-1] * len(adj)
+
+    def visit(v, up):
+        parent[v] = up
+        order.append(v)
+        for w in adj[v]:
+            if w != up:
+                visit(w, v)
+
+    visit(start, stop)
+    return order, parent
+
+
+def test_walk_matches_a_recursive_reference():
+    for lt in table_trees():
+        adj = lt.tree.adj
+        for v in range(len(adj)):
+            assert walk(adj, v) == reference_walk(adj, v)
+            for w in adj[v]:
+                assert walk(adj, w, v) == reference_walk(adj, w, v)
+
+
+def test_walk_rejects_cycles():
+    with pytest.raises(TreeError):
+        walk([[1, 2], [0, 2], [0, 1]], 0)
+    with pytest.raises(TreeError):
+        walk([[0, 1], [0]], 0)
+    # four edges on five vertices, but a triangle and an isolated vertex
+    builder = TreeBuilder()
+    for name in (None, "1", "2", "3", "4"):
+        builder.add_vertex(name)
+    for u, w in ((0, 1), (1, 2), (2, 0), (0, 3)):
+        builder.add_edge(u, w)
+    with pytest.raises(TreeError):
+        builder.tree(ROOTED, root=0)
+
+
+def test_canonical_form_quotes_names_and_labels(ab_table):
+    def star(*names):
+        builder = TreeBuilder()
+        root = builder.add_vertex()
+        for name in names:
+            builder.add_edge(root, builder.add_vertex(name))
+        return builder.tree(ROOTED, root=root)
+
+    for one, other in ((("1", "2,3"), ("1,2", "3")), (("a(", "b"), ("a", "(b")),
+                       (("x'", "y"), ("x", "'y")), (("p)", "q"), ("p", "q)"))):
+        assert canonical_form(star(*one)) != canonical_form(star(*other))
+        assert canonical_form(star(*one)) == canonical_form(star(*reversed(one)))
+    # a leaf named like the text of a labelled cherry
+    nested = parse_newick(ROOTED, "((1,2)A,3)B;", ab_table)
+    flat = star("(1,2)A", "3")
+    flat_labelled = LabelledTree(flat, {flat.root: ab_table.intern("B")}, ab_table)
+    assert canonical_form(nested) != canonical_form(flat_labelled)
+
+
+DEEP = 5000
+
+
+def test_deep_rooted_caterpillar_round_trips():
+    text = caterpillar_text(DEEP, ROOTED)
+    lt = parse_tree(text)
+    assert lt.tree.n_leaves == DEEP and max(lt.tree.depth) == DEEP - 1
+    assert tree_to_text(lt) == text
+    again = parse_tree(tree_to_text(lt))
+    assert tree_to_text(again) == text
+    assert canonical_form(again) == canonical_form(lt)
+    assert labelled_isomorphic(again, lt)
+    half = induced_subtree(lt, [str(k) for k in range(1, DEEP // 2 + 1)])
+    assert tree_to_text(half) == caterpillar_text(DEEP // 2, ROOTED)
+    assert labelled_isomorphic(collapse_to_discriminating(lt), lt)
+    unrooted = farris_inverse(lt, "r")
+    assert labelled_isomorphic(farris_transform(unrooted, "r").rooted, lt)
+
+
+def test_deep_unrooted_caterpillar_round_trips():
+    text = caterpillar_text(DEEP, UNROOTED)
+    lt = parse_tree(text)
+    assert lt.tree.n_leaves == DEEP
+    again = parse_tree(tree_to_text(lt))
+    assert tree_to_text(again) == tree_to_text(lt)
+    assert labelled_isomorphic(again, lt)
+    assert labelled_isomorphic(collapse_to_discriminating(lt), lt)
+    rooted = farris_transform(lt, "1").rooted
+    assert rooted.tree.n_leaves == DEEP - 1
+    assert labelled_isomorphic(farris_inverse(rooted, "1"), lt)
