@@ -3,19 +3,21 @@
 Values live in dense tables indexed by the lexicographic rank of the subset
 over the ordered ground set, so lookups are O(1) and serialization order is
 deterministic.  Maps are total by construction; partial data is a load-time
-error, not a representable state.  Lookups by name go through a rank index
-built on a map's first value() call; equality and the constructions from
-trees work on positions instead.
+error, not a representable state.  Each map keeps a position for every
+ground name; value() sorts the positions of its names and reads the slot at
+their closed-form lexicographic rank, so no lookup builds a key.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .symbols import Symbol, SymbolTable, TripleMultiset, parse_multiset
-from .trees import LabelledTree, ROOTED, UNROOTED, TreeError, median_of, table_triples
+from .trees import (LabelledTree, ROOTED, UNROOTED, TreeError, _LEAF_RE, median_of,
+                    table_triples)
 
 KIND_SYMBOL = "symbol"
 KIND_MULTISET = "multiset"
@@ -27,30 +29,21 @@ class MapError(ValueError):
     """Malformed, partial, or inconsistent map data."""
 
 
-def _rank_index(ground: Sequence[str], k: int) -> dict[frozenset, int]:
-    return {frozenset(c): i for i, c in enumerate(combinations(ground, k))}
-
-
-def _triple_ranks(ground: Sequence[str], other: Sequence[str]) -> list[int]:
-    """For each 3-subset of ground, in combinations order, its rank among
-    the 3-subsets of other, an ordering of the same names: one position map,
-    then the closed-form lexicographic rank first[a] - second[b] + c of the
-    positions a < b < c."""
-    n = len(other)
-    pos = {name: i for i, name in enumerate(other)}
-    first = [comb(n, 3) - comb(n - a, 3) + comb(n - a - 1, 2) for a in range(n)]
-    second = [comb(n - b, 2) + b + 1 for b in range(n)]
-    ranks = []
-    for t in combinations([pos[name] for name in ground], 3):
-        a, b, c = sorted(t)
-        ranks.append(first[a] - second[b] + c)
-    return ranks
+@lru_cache(maxsize=None)
+def _rank_offsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Offset tables over n positions: the k-subset a < b (< c) of range(n)
+    has lexicographic rank first[a] + b for k = 2, and first[a] - second[b]
+    + c for k = 3, with (first, second) = _rank_offsets(n, k)."""
+    if k == 2:
+        return (tuple(comb(n, 2) - comb(n - a, 2) - a - 1 for a in range(n)),)
+    return (tuple(comb(n, 3) - comb(n - a, 3) + comb(n - a - 1, 2) for a in range(n)),
+            tuple(comb(n - b, 2) + b + 1 for b in range(n)))
 
 
 class TwoWayMap:
     """A total map from 2-subsets of the ground set into symbols."""
 
-    __slots__ = ("ground", "values", "symbols", "_rank")
+    __slots__ = ("ground", "values", "symbols", "_pos", "_offsets")
 
     def __init__(self, ground: Sequence[str], values: Sequence[Symbol],
                  symbols: SymbolTable):
@@ -58,8 +51,10 @@ class TwoWayMap:
         n = len(self.ground)
         if n < 3:
             raise MapError("two-way maps need a ground set of size at least 3")
-        if len(set(self.ground)) != n:
+        self._pos = dict(zip(self.ground, range(n)))
+        if len(self._pos) != n:
             raise MapError("duplicate names in the ground set")
+        self._offsets = _rank_offsets(n, 2)
         self.values = tuple(values)
         if len(self.values) != n * (n - 1) // 2:
             raise MapError("two-way map table is not total")
@@ -78,14 +73,14 @@ class TwoWayMap:
         return cls(ground, values, symbols)
 
     def value(self, x: str, y: str) -> Symbol:
-        try:
-            rank = self._rank
-        except AttributeError:  # the rank index is built on the first lookup
-            rank = self._rank = _rank_index(self.ground, 2)
-        try:
-            return self.values[rank[frozenset((x, y))]]
-        except KeyError:
-            raise MapError(f"pair ({x},{y}) is not in the map") from None
+        pos = self._pos
+        a, b = pos.get(x, -1), pos.get(y, -1)
+        if a > b:
+            a, b = b, a
+        if a < 0 or a == b:
+            raise MapError(f"pair ({x},{y}) is not in the map")
+        first, = self._offsets
+        return self.values[first[a] + b]
 
     def pairs(self) -> Iterator[tuple[tuple[str, str], Symbol]]:
         for pair, v in zip(combinations(self.ground, 2), self.values):
@@ -97,9 +92,11 @@ class TwoWayMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoWayMap):
             return NotImplemented
-        if set(self.ground) != set(other.ground):
+        if self.ground == other.ground:
+            return self.values == other.values
+        if self._pos.keys() != other._pos.keys():
             return False
-        return all(v == other.value(*pair) for pair, v in self.pairs())
+        return self.values == tuple(other.value(*s) for s in combinations(self.ground, 2))
 
     def __hash__(self) -> int:
         return hash((frozenset(self.ground), frozenset(
@@ -110,7 +107,7 @@ class ThreeWayMap:
     """A total map from 3-subsets of the ground set into symbols (kind
     'symbol') or size-3 multisets of symbols (kind 'multiset')."""
 
-    __slots__ = ("kind", "ground", "values", "symbols", "_rank")
+    __slots__ = ("kind", "ground", "values", "symbols", "_pos", "_offsets")
 
     def __init__(self, kind: str, ground: Sequence[str], values: Sequence[Value],
                  symbols: SymbolTable):
@@ -121,8 +118,10 @@ class ThreeWayMap:
         n = len(self.ground)
         if n < 3:
             raise MapError("three-way maps need a ground set of size at least 3")
-        if len(set(self.ground)) != n:
+        self._pos = dict(zip(self.ground, range(n)))
+        if len(self._pos) != n:
             raise MapError("duplicate names in the ground set")
+        self._offsets = _rank_offsets(n, 3)
         self.values = tuple(values)
         if len(self.values) != n * (n - 1) * (n - 2) // 6:
             raise MapError("three-way map table is not total")
@@ -145,14 +144,18 @@ class ThreeWayMap:
         return cls(kind, ground, values, symbols)
 
     def value(self, x: str, y: str, z: str) -> Value:
-        try:
-            rank = self._rank
-        except AttributeError:  # the rank index is built on the first lookup
-            rank = self._rank = _rank_index(self.ground, 3)
-        try:
-            return self.values[rank[frozenset((x, y, z))]]
-        except KeyError:
-            raise MapError(f"triple ({x},{y},{z}) is not in the map") from None
+        pos = self._pos
+        a, b, c = pos.get(x, -1), pos.get(y, -1), pos.get(z, -1)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a < 0 or a == b or b == c:
+            raise MapError(f"triple ({x},{y},{z}) is not in the map")
+        first, second = self._offsets
+        return self.values[first[a] - second[b] + c]
 
     def triples(self) -> Iterator[tuple[tuple[str, str, str], Value]]:
         for triple, v in zip(combinations(self.ground, 3), self.values):
@@ -176,10 +179,9 @@ class ThreeWayMap:
             return False
         if self.ground == other.ground:
             return self.values == other.values
-        if set(self.ground) != set(other.ground):
+        if self._pos.keys() != other._pos.keys():
             return False
-        theirs = other.values
-        return self.values == tuple(theirs[r] for r in _triple_ranks(self.ground, other.ground))
+        return self.values == tuple(other.value(*s) for s in combinations(self.ground, 3))
 
     def __hash__(self) -> int:
         return hash((self.kind, frozenset(self.ground), frozenset(
@@ -237,8 +239,9 @@ def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:
 
 def restrict(d: ThreeWayMap, leaves: Iterable[str]) -> ThreeWayMap:
     """Restrict a three-way map to the 3-subsets of a leaf subset."""
-    sub = [n for n in d.ground if n in set(leaves)]
-    missing = set(leaves) - set(d.ground)
+    names = set(leaves)
+    sub = [n for n in d.ground if n in names]
+    missing = names - set(d.ground)
     if missing:
         raise MapError(f"names {sorted(missing)} are not in the ground set")
     if len(sub) < 3:
@@ -270,6 +273,15 @@ def set_valued_view(d: ThreeWayMap) -> dict[frozenset, frozenset]:
 
 # -- text form ----------------------------------------------------------------
 
+def _ground(rows: list[list[str]], k: int) -> list[str]:
+    """The names in the first k columns, in order of first appearance."""
+    ground = list(dict.fromkeys(name for row in rows for name in row[:k]))
+    for name in ground:
+        if not _LEAF_RE.fullmatch(name):  # a name the tree text cannot carry
+            raise MapError(f"bad leaf name {name!r}")
+    return ground
+
+
 def _map_rows(text: str, width: int) -> Iterator[list[str]]:
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -292,7 +304,7 @@ def load_three_way_map(text: str, kind: str,
     rows = list(_map_rows(text, 4))
     if not rows or rows[0] != ["x", "y", "z", "value"]:
         raise MapError("three-way map text must start with the header 'x y z value'")
-    ground = list(dict.fromkeys(name for row in rows[1:] for name in row[:3]))
+    ground = _ground(rows[1:], 3)
     seen: dict[frozenset, Value] = {}
     for x, y, z, raw in rows[1:]:
         key = frozenset((x, y, z))
@@ -321,7 +333,7 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
     rows = list(_map_rows(text, 3))
     if not rows or rows[0] != ["x", "y", "value"]:
         raise MapError("two-way map text must start with the header 'x y value'")
-    ground = list(dict.fromkeys(name for row in rows[1:] for name in row[:2]))
+    ground = _ground(rows[1:], 2)
     seen: dict[frozenset, Symbol] = {}
     for x, y, raw in rows[1:]:
         key = frozenset((x, y))

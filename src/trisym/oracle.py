@@ -173,7 +173,7 @@ def enumerate_labelled_trees(spec: EnumerationSpec) -> Iterator[LabelledTree]:
 
 def _normalized_table(d: ThreeWayMap) -> tuple:
     if d.kind == KIND_MULTISET:
-        return tuple(tuple(sorted(s.name for s in v.entries)) for v in d.values)  # type: ignore[union-attr]
+        return tuple(tuple(s.name for s in v.entries) for v in d.values)  # type: ignore[union-attr]
     return tuple(v.name for v in d.values)  # type: ignore[union-attr]
 
 

@@ -139,9 +139,8 @@ def build(triplets: Iterable[Triplet] | TripletSet,
     pos = {name: i for i, name in enumerate(ground)}
     coded = []
     for t in triplets:
-        a, b = t.cherry
         try:
-            coded.append((pos[a], pos[b], pos[t.outlier]))
+            coded.append((pos[t.a], pos[t.b], pos[t.outlier]))
         except KeyError:
             raise TreeError(f"triplet {t!r} uses names outside the ground set") from None
     if len(ground) < 2:
@@ -212,7 +211,7 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
     by_leaves: dict[frozenset, Triplet] = {}
     for t in triplets:
         by_leaves[t.leaves] = t
-    table: dict[frozenset, Symbol] = {}
+    values: list[Symbol] = []
     for x, y in combinations(d.ground, 2):
         candidate: Optional[Symbol] = None
         for z in d.ground:
@@ -226,7 +225,7 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
                         (x, y), f"no triplet on ({x},{y},{z}) but value "
                                 f"{value.text()} is not constant")
                 got = value.entries[0]
-            elif t.cherry == frozenset((x, y)):
+            elif t.outlier == z:
                 got = value.minority
             else:
                 got = value.majority
@@ -239,8 +238,8 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
             elif candidate != got:
                 raise PairContradictionError(
                     (x, y), f"third leaves disagree: {candidate.name} vs {got.name}")
-        table[frozenset((x, y))] = candidate  # type: ignore[assignment]
-    return TwoWayMap.from_pairs(d.ground, table, d.symbols)
+        values.append(candidate)  # type: ignore[arg-type]
+    return TwoWayMap(d.ground, values, d.symbols)
 
 
 def _recover_two_way_by_five_points(d: ThreeWayMap) -> TwoWayMap:

@@ -22,8 +22,7 @@ class Symbol:
 
     Equality and hashing go by display name, so symbols interned in
     different tables compare equal when they mean the same label.  The
-    id is table-local and used for dense indexing and canonical storage
-    order.
+    id is table-local: the order in which the table interned the name.
     """
 
     id: int
@@ -34,9 +33,6 @@ class Symbol:
 
     def __hash__(self) -> int:
         return hash(self.name)
-
-    def __lt__(self, other: "Symbol") -> bool:
-        return self.id < other.id
 
     def __repr__(self) -> str:
         return f"Symbol({self.name})"
@@ -74,12 +70,13 @@ class SymbolTable:
         return name in self._by_name
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TripleMultiset:
-    """A multiset of exactly three symbols, stored in non-decreasing id order.
+    """A multiset of exactly three symbols, stored in name order.
 
-    Equality and hashing use the name-sorted entries, so multisets built
-    against different tables still compare structurally.
+    The constructor sorts the entries, so the stored tuple is the canonical
+    form and the dataclass's own equality and hashing compare multisets
+    structurally, also across tables.
     """
 
     entries: tuple[Symbol, Symbol, Symbol]
@@ -87,22 +84,11 @@ class TripleMultiset:
     def __post_init__(self) -> None:
         if len(self.entries) != 3:
             raise SymbolError("a TripleMultiset has exactly three entries")
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda s: s.name)))
 
     @classmethod
     def of(cls, a: Symbol, b: Symbol, c: Symbol) -> "TripleMultiset":
-        return cls(tuple(sorted((a, b, c), key=lambda s: s.id)))  # type: ignore[arg-type]
-
-    def _key(self) -> tuple[str, str, str]:
-        return tuple(sorted(s.name for s in self.entries))  # type: ignore[return-value]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TripleMultiset) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __lt__(self, other: "TripleMultiset") -> bool:
-        return self._key() < other._key()
+        return cls((a, b, c))
 
     @property
     def support(self) -> frozenset[Symbol]:
@@ -112,30 +98,22 @@ class TripleMultiset:
     @property
     def majority(self) -> Optional[Symbol]:
         """The symbol occurring at least twice; None when all three entries differ."""
-        counts = Counter(self.entries)
-        if len(counts) == 3:
-            return None
-        return max(counts, key=lambda s: counts[s])
+        a, b, c = self.entries
+        return b if a == b or b == c else None
 
     @property
     def minority(self) -> Optional[Symbol]:
         """The symbol occurring exactly once; equals majority when all entries
         coincide, None when all three entries differ."""
-        counts = Counter(self.entries)
-        if len(counts) == 3:
-            return None
-        if len(counts) == 1:
-            return self.entries[0]
-        return min(counts, key=lambda s: counts[s])
+        a, b, c = self.entries
+        if b == c:
+            return a
+        return c if a == b else None
 
     def text(self) -> str:
         """Coefficient form, e.g. '2A+B', '3A', 'A+B+C' (terms in name order)."""
         counts = Counter(s.name for s in self.entries)
-        parts = []
-        for name in sorted(counts):
-            k = counts[name]
-            parts.append(f"{k}{name}" if k > 1 else name)
-        return "+".join(parts)
+        return "+".join(f"{k}{name}" if k > 1 else name for name, k in counts.items())
 
     def __repr__(self) -> str:
         return f"TripleMultiset({self.text()})"
@@ -150,6 +128,8 @@ def parse_multiset(text: str, table: SymbolTable) -> TripleMultiset:
         if not m:
             raise SymbolError(f"bad multiset term {term!r} in {text!r}")
         count = int(m.group(1)) if m.group(1) else 1
+        if count == 0:
+            raise SymbolError(f"multiset term {term!r} in {text!r} has count 0")
         entries.extend([table.intern(m.group(2))] * count)
     if len(entries) != 3:
         raise SymbolError(f"multiset {text!r} has {len(entries)} entries, expected 3")

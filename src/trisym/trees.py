@@ -46,32 +46,36 @@ class TreeError(ValueError):
     """Malformed tree structure or text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Triplet:
-    """The rooted binary shape xy|z on three leaves: cherry {x,y}, outlier z."""
+    """The rooted binary shape ab|outlier, its cherry stored as names a < b
+    (Triplet.of orders them): triplets sort as the tuple (a, b, outlier)."""
 
-    cherry: frozenset[str]
+    a: str
+    b: str
     outlier: str
 
     def __post_init__(self) -> None:
-        if len(self.cherry) != 2 or self.outlier in self.cherry:
+        if self.a == self.b or self.outlier in (self.a, self.b):
             raise TreeError("a triplet needs three distinct leaf names")
 
     @classmethod
     def of(cls, x: str, y: str, z: str) -> "Triplet":
-        return cls(frozenset((x, y)), z)
+        return cls(x, y, z) if x < y else cls(y, x, z)
+
+    @property
+    def cherry(self) -> frozenset[str]:
+        return frozenset((self.a, self.b))
 
     @property
     def leaves(self) -> frozenset[str]:
-        return self.cherry | {self.outlier}
+        return frozenset((self.a, self.b, self.outlier))
 
     def __repr__(self) -> str:
-        a, b = sorted(self.cherry)
-        return f"{a}{b}|{self.outlier}"
+        return f"{self.a}{self.b}|{self.outlier}"
 
     def text(self) -> str:
-        a, b = sorted(self.cherry)
-        return f"{a} {b} | {self.outlier}"
+        return f"{self.a} {self.b} | {self.outlier}"
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class TripletSet:
     def __post_init__(self) -> None:
         names = set(self.ground)
         for t in self.triplets:
-            if t.outlier not in names or not t.cherry <= names:
+            if t.a not in names or t.b not in names or t.outlier not in names:
                 raise TreeError(f"triplet {t!r} uses names outside the ground set")
 
     def __len__(self) -> int:
@@ -98,8 +102,7 @@ class TripletSet:
 
     def text(self) -> str:
         """One 'a b | z' line per triplet (a < b), sorted by (a, b, z)."""
-        ordered = sorted(self.triplets, key=lambda t: (*sorted(t.cherry), t.outlier))
-        return "\n".join(t.text() for t in ordered) + "\n"
+        return "\n".join(t.text() for t in sorted(self.triplets)) + "\n"
 
 
 def parse_triplets(text: str, ground: Sequence[str]) -> TripletSet:

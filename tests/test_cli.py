@@ -203,3 +203,69 @@ def test_farris_on_deep_unrooted_tree(capsys, tmp_path):
     assert code == 0, err
     rooted = parse_tree(out_path.read_text())
     assert rooted.flavor == "rooted" and rooted.tree.n_leaves == 4999
+
+
+def test_bad_leaf_name_exit_code(capsys, tmp_path):
+    p = tmp_path / "bad_leaf.tsv"
+    p.write_text("x y z value\n2 3 4 A\n2 3 5 A\n2 4 5 A\n3 4 5 A\n"
+                 "2 3 a(1 A\n2 4 a(1 A\n2 5 a(1 A\n3 4 a(1 A\n3 5 a(1 A\n4 5 a(1 A\n")
+    code, out, err = run(capsys, "reconstruct", str(p), "--codomain", "symbol")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad leaf name 'a(1'\n"
+
+
+def test_reports_do_not_depend_on_string_hashing(tmp_path, locally_consistent_map):
+    """Sets of symbols, multisets and triplets iterate in hash order; every
+    report must read the same under every PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from trisym import ROOTED, UNROOTED, collapse_to_discriminating, three_way_from_unrooted
+    from test_trees import random_labelled_tree
+
+    def mutant(d):
+        text = save_three_way_map(d).splitlines()
+        x, y, z, v = text[3].split()
+        text[3] = f"{x} {y} {z} {'A' if v != 'A' else 'B'}"
+        return "\n".join(text) + "\n"
+
+    maps = {}
+    for n in (6, 9):
+        rooted = three_way_from_rooted(collapse_to_discriminating(
+            random_labelled_tree(n, n, ROOTED, ("A", "B", "C"))))
+        unrooted = three_way_from_unrooted(collapse_to_discriminating(
+            random_labelled_tree(n, n - 1, UNROOTED, ("A", "B", "C"))))
+        maps[f"multiset-{n}"] = save_three_way_map(rooted)
+        maps[f"symbol-{n}"] = save_three_way_map(unrooted)
+        maps[f"symbol-mutant-{n}"] = mutant(unrooted)
+    maps["multiset-bad"] = save_three_way_map(locally_consistent_map)
+    runs = []
+    for name, text in maps.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text)
+        codomain = name.split("-")[0]
+        for fmt in ("text", "json"):
+            runs.append(["reconstruct", str(path), "--codomain", codomain, "--format", fmt])
+        if codomain == "multiset":
+            runs.append(["check", str(path), "--conditions", "P"])
+        else:
+            runs.append(["check", str(path), "--conditions", "M", "--format", "json"])
+        if name.endswith("-6") or name == "multiset-bad":
+            runs.append(["cross-validate", str(path), "--codomain", codomain])
+    script = ("from trisym.cli import main\n"
+              f"for argv in {runs!r}:\n"
+              "    print('$', *argv[:1], main(argv))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0].count("$ ") == len(runs)
+    assert outs[0].count("oracle: ") == 4 and outs[0].count('"kind": "M1"') > 1
+    assert outs[0] == outs[1]

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,8 @@ from trisym import (
     KIND_SYMBOL,
     MapError,
     SymbolTable,
+    ThreeWayMap,
+    TwoWayMap,
     collapse_to_discriminating,
     farris_project,
     induced_subtree,
@@ -80,6 +82,7 @@ def test_restrict_examples(locally_consistent_map):
     assert len(single.values) == 1
     with pytest.raises(MapError):
         restrict(locally_consistent_map, ["1", "2", "9"])
+    assert restrict(locally_consistent_map, (x for x in "1234")) == d
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,6 +120,38 @@ def test_map_equality_is_order_insensitive(ab_table):
     d1 = multiset_map(tuple("1234"), rows, ab_table)
     d2 = multiset_map(("4", "2", "3", "1"), rows, ab_table)
     assert d1 == d2
+
+    a, b = ab_table.intern("A"), ab_table.intern("B")
+    pairs = {"12": a, "13": b, "14": b, "23": b, "24": b, "34": a}
+    e1 = TwoWayMap.from_pairs(tuple("1234"), pairs, ab_table)
+    e2 = TwoWayMap.from_pairs(("4", "2", "3", "1"), pairs, ab_table)
+    assert e1 == e2 and e2 == e1 and hash(e1) == hash(e2)
+    assert e1 != TwoWayMap.from_pairs(tuple("1234"), dict(pairs, **{"14": a}), ab_table)
+    assert e1 != TwoWayMap.from_pairs(tuple("1235"), {
+        tuple(k.replace("4", "5")): v for k, v in pairs.items()}, ab_table)
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_value_agrees_with_a_frozenset_index(seed, abc_table):
+    rng = random.Random(seed)
+    n = 3 + seed
+    ground = rng.sample([str(i) for i in range(20)], n)
+    syms = list(abc_table)
+    for k in (2, 3):
+        values = [rng.choice(syms) for _ in combinations(ground, k)]
+        if k == 2:
+            d = TwoWayMap(ground, values, abc_table)
+        else:
+            d = ThreeWayMap(KIND_SYMBOL, ground, values, abc_table)
+        index = {frozenset(s): v for s, v in zip(combinations(ground, k), values)}
+        for s in combinations(ground, k):
+            for names in permutations(s):
+                assert d.value(*names) is index[frozenset(s)]
+        for bad in ([ground[0]] * k, [ground[0]] * (k - 1) + ["x"],
+                    ["x"] + ground[:k - 1], ground[:k - 1] + [ground[0]],
+                    [ground[-1]] * 2 + ground[:k - 2]):
+            with pytest.raises(MapError):
+                d.value(*bad)
 
 
 def test_set_valued_view(five_leaf_rooted):
@@ -164,6 +199,17 @@ def test_load_rejects_duplicates():
 def test_load_rejects_missing_header():
     with pytest.raises(MapError):
         load_three_way_map("1 2 3 3A\n", KIND_MULTISET)
+
+
+@pytest.mark.parametrize("name", ["a(1", "1,2", "x;", "p:q", "'q'"])
+def test_load_rejects_leaf_names_the_tree_text_cannot_carry(name):
+    rows = [("1", "2", "3"), ("1", "2", name), ("1", "3", name), ("2", "3", name)]
+    with pytest.raises(MapError, match="bad leaf name"):
+        load_three_way_map("x y z value\n" + "".join(f"{x} {y} {z} A\n" for x, y, z in rows),
+                           KIND_SYMBOL)
+    pairs = [("1", "2"), ("1", name), ("2", name)]
+    with pytest.raises(MapError, match="bad leaf name"):
+        load_two_way_map("x y value\n" + "".join(f"{x} {y} A\n" for x, y in pairs))
 
 
 def test_ground_order_is_first_appearance():

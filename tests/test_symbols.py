@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,12 +66,34 @@ def test_multiset_text_and_parse_roundtrip():
         parse_multiset("2A", t)
     with pytest.raises(SymbolError):
         parse_multiset("2A+2B", t)
+    with pytest.raises(SymbolError):
+        parse_multiset("0A+3B", t)
 
 
 def test_multiset_equality_ignores_table_order():
     t1, t2 = SymbolTable(["A", "B"]), SymbolTable(["B", "A"])
     assert parse_multiset("2A+B", t1) == parse_multiset("2A+B", t2)
     assert hash(parse_multiset("2A+B", t1)) == hash(parse_multiset("2A+B", t2))
+
+    def reference(names):
+        counts = Counter(names)
+        if len(counts) == 3:
+            return None, None
+        ranked = sorted(counts, key=lambda n: (counts[n], n))
+        return ranked[-1], ranked[0]
+
+    for names in product("ABC", repeat=3):
+        x = TripleMultiset.of(*(t1.intern(n) for n in names))
+        y = TripleMultiset.of(*(t2.intern(n) for n in names))
+        assert x == y and hash(x) == hash(y)
+        assert x.entries == y.entries and x.text() == y.text()
+        majority, minority = reference(names)
+        for ms in (x, y):
+            assert (ms.majority and ms.majority.name) == majority
+            assert (ms.minority and ms.minority.name) == minority
+    a, b, c = (t2.intern(n) for n in "ABC")
+    assert TripleMultiset((c, a, b)) == TripleMultiset.of(a, b, c)
+    assert TripleMultiset((c, a, b)).entries == (a, b, c)
 
 
 @given(st.lists(st.sampled_from("ABC"), min_size=3, max_size=3))

@@ -474,6 +474,23 @@ def test_triplet_parse_rejects_bad_lines():
         parse_triplets("1 2 | 9", ("1", "2", "3"))
 
 
+def test_triplet_cherry_is_stored_in_name_order():
+    assert Triplet.of("2", "1", "3") == Triplet.of("1", "2", "3")
+    assert hash(Triplet.of("2", "1", "3")) == hash(Triplet.of("1", "2", "3"))
+    t = Triplet.of("b", "a", "c")
+    assert t.cherry == frozenset("ab") and t.outlier == "c"
+    assert t.leaves == frozenset("abc")
+    assert repr(t) == "ab|c" and t.text() == "a b | c"
+    rng = random.Random(5)
+    names = [str(i) for i in range(1, 13)]
+    trips = {Triplet.of(*rng.sample(names, 3)) for _ in range(60)}
+    lines = [t.text() for t in sorted(trips)]
+    assert lines == sorted(lines, key=lambda line: line.replace("|", "").split())
+    for x, y, z in (("1", "1", "2"), ("1", "2", "1"), ("1", "2", "2")):
+        with pytest.raises(TreeError):
+            Triplet.of(x, y, z)
+
+
 def test_triplet_set_text_does_not_depend_on_string_hashing():
     """'1 12 | 10' and '11 2 | 10' both join to '112|10'; the text must order
     them the same way under every hash seed."""
