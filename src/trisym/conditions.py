@@ -422,6 +422,8 @@ def representable_by_conditions(d: ThreeWayMap) -> bool:
     """
     if d.kind == KIND_SYMBOL:
         return not check_tree_map(d, stop_after=1)
+    if len(d.ground) < 4:
+        raise MapError("conditions on multiset maps need a ground set of size at least 4")
     if len(d.ground) >= 5:
         return not check_three_way_ultrametric(d, stop_after=1)
     return bool(classify_quartet(d, d.ground))

@@ -8,18 +8,31 @@ shapes come from rooted shapes on one leaf fewer by attaching the last leaf
 at the root and forgetting directions, which is a bijection.  Labellings
 are assigned by backtracking with early pruning of same-label interior
 edges when only discriminating trees are wanted.
+
+The representability search labels no shape by backtracking.  A map fixes
+the labels of every tree that could induce it, because each interior vertex
+is the median of a leaf triple (unrooted) or the lca of a leaf pair
+(rooted).  So the search scans the shapes in enumeration order, reads each
+label off the map, checks every triple at once, and returns the first shape
+whose labelling matches and is discriminating: the first match among all
+discriminating labelled trees in enumerate_labelled_trees order.  Its cost
+is per shape, whatever the number of symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
+# The search builds no maps; three_way_from_rooted and
+# three_way_from_unrooted stay importable from this module, where callers
+# look them up as attributes.
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap,
                    three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, SymbolTable
-from .trees import LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, UNROOTED
+from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, UNROOTED, median_of,
+                    table_triples)
 
 MAX_LEAVES = 6
 MAX_SYMBOLS = 3
@@ -45,9 +58,9 @@ class EnumerationSpec:
 
     def __post_init__(self) -> None:
         if not (1 <= len(self.leaves) <= MAX_LEAVES):
-            raise EnumerationError(f"leaf sets up to {MAX_LEAVES} are supported")
+            raise EnumerationError(f"leaf sets of 1 to {MAX_LEAVES} leaves are supported")
         if not (1 <= len(self.symbols) <= MAX_SYMBOLS):
-            raise EnumerationError(f"symbol sets up to {MAX_SYMBOLS} are supported")
+            raise EnumerationError(f"symbol sets of 1 to {MAX_SYMBOLS} symbols are supported")
         if self.flavor not in (ROOTED, UNROOTED):
             raise EnumerationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == UNROOTED and len(self.leaves) < 3:
@@ -171,40 +184,88 @@ def enumerate_labelled_trees(spec: EnumerationSpec) -> Iterator[LabelledTree]:
 
 # -- representability search ------------------------------------------------------
 
-def _normalized_table(d: ThreeWayMap) -> tuple:
-    if d.kind == KIND_MULTISET:
-        return tuple(tuple(s.name for s in v.entries) for v in d.values)  # type: ignore[union-attr]
-    return tuple(v.name for v in d.values)  # type: ignore[union-attr]
+@lru_cache(maxsize=None)
+def _scan_shapes(flavor: str, n: int) -> tuple[tuple, ...]:
+    """Every shape on n leaves in enumerate_shapes order, on the leaves "0"
+    to "n-1", where leaf "i" stands for the i-th name of a ground set, with
+    what the search reads off it.
+
+    A map's slots are the entries of its values, in combinations order of
+    the leaf triples, that each label one vertex: per leaf triple, its
+    median (unrooted), or the shallower and then the deepest of its
+    pairwise lcas (rooted), which the value's majority and minority entries
+    label.  Each shape comes as (tree, first, repeats, interior edges):
+    first holds each interior vertex with the first slot on it, and repeats
+    has, for every later slot j on the same vertex, the bit j(j-1)/2 + i of
+    the slot pair i < j, i that first slot.  None of it depends on the
+    names or the symbols.
+    """
+    out = []
+    for tree in enumerate_shapes(flavor, [str(i) for i in range(n)]):
+        slots: list[int] = []
+        for xy, xz, yz in table_triples(tree.leaf_lca_table()):
+            deep = median_of(xy, xz, yz)
+            if flavor == ROOTED:
+                slots.append(xz if xy == deep else xy)
+            slots.append(deep)
+        first: dict[int, int] = {}
+        repeats = 0
+        for j, v in enumerate(slots):
+            i = first.setdefault(v, j)
+            if i != j:
+                repeats |= 1 << (j * (j - 1) // 2 + i)
+        edges = tuple((u, w) for u, w in tree.edges()
+                      if not tree.is_leaf(u) and not tree.is_leaf(w))
+        out.append((tree, tuple(first.items()), repeats, edges))
+    return tuple(out)
 
 
-_index_cache: dict[tuple, dict[tuple, LabelledTree]] = {}
+def _slot_names(d: ThreeWayMap) -> Optional[list[str]]:
+    """The label name each slot must carry: the value (symbol maps), or the
+    majority then the minority entry (multiset maps); None when some value
+    has three distinct entries, which no rooted tree induces."""
+    if d.kind == KIND_SYMBOL:
+        return [v.name for v in d.values]  # type: ignore[union-attr]
+    names = []
+    for v in d.values:
+        major = v.majority  # type: ignore[union-attr]
+        if major is None:
+            return None
+        names += (major.name, v.minority.name)  # type: ignore[union-attr]
+    return names
 
 
-def _representable_index(flavor: str, ground: tuple[str, ...],
-                         symbol_names: tuple[str, ...]) -> dict[tuple, LabelledTree]:
-    key = (flavor, ground, symbol_names)
-    found = _index_cache.get(key)
-    if found is not None:
-        return found
-    table = SymbolTable(symbol_names)
-    spec = EnumerationSpec(ground, tuple(table), flavor, discriminating_only=True)
-    index: dict[tuple, LabelledTree] = {}
-    derive = three_way_from_rooted if flavor == ROOTED else three_way_from_unrooted
-    for lt in enumerate_labelled_trees(spec):
-        index.setdefault(_normalized_table(derive(lt)), lt)
-    _index_cache[key] = index
-    return index
+def _equal_pairs(names: Sequence[str]) -> int:
+    """The mask of the slot pairs i < j with names[i] == names[j], with the
+    bit of each pair at j(j-1)/2 + i."""
+    mask = 0
+    before: dict[str, int] = {}  # name -> the bits of the slots so far with it
+    for j, name in enumerate(names):
+        same = before.get(name, 0)
+        mask |= same << (j * (j - 1) // 2)
+        before[name] = same | 1 << j
+    return mask
 
 
 def oracle_representable_three_way(d: ThreeWayMap,
                                    flavor: Optional[str] = None) -> Optional[LabelledTree]:
-    """Search every discriminating labelled tree on the ground set whose
-    induced map equals d; returns one (the unique one, when it exists) or
-    None.  Defaults to rooted search for multiset maps and unrooted search
-    for plain-symbol maps.
+    """The first discriminating labelled tree on the ground set, in
+    enumerate_labelled_trees order, whose induced map equals d, or None.
+    Defaults to rooted search for multiset maps and unrooted search for
+    plain-symbol maps.
 
-    Indexes all candidate maps per (flavor, ground set, image symbols) once
-    and memoizes, so repeated queries are cheap.
+    A representing tree leaves no labels to choose: each interior vertex is
+    the median of a leaf triple (unrooted) and carries that triple's value,
+    or the lca of a leaf pair (rooted), and the shallower of a triple's
+    pairwise lcas carries the value's majority entry and the deepest its
+    minority entry.  So each shape admits at most one matching labelling:
+    the one read off d, which matches exactly when every two slots on one
+    vertex carry one name.  The search scans the shapes in order, tests
+    that for all of a shape's triples at once, as one mask inclusion, reads
+    the labels off the first shape that passes, and skips it when the
+    labelling is not discriminating.  The shapes and their masks are built
+    once per flavor and leaf count and kept; they depend on neither the
+    leaf names nor the symbols, so the cost of a query is per shape.
     """
     if flavor is None:
         flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
@@ -216,14 +277,28 @@ def oracle_representable_three_way(d: ThreeWayMap,
         raise EnumerationError(f"ground sets up to {MAX_LEAVES} are supported")
     if flavor == UNROOTED and len(d.ground) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
-    names = tuple(sorted(s.name for s in d.image_symbols()))
-    if len(names) > MAX_SYMBOLS:
+    image = {s.name: s for s in d.image_symbols()}
+    if len(image) > MAX_SYMBOLS:
         # a representing tree would need every image symbol as a label, so
         # the search space is out of bounds rather than empty
-        raise EnumerationError(f"image uses {len(names)} symbols; "
+        raise EnumerationError(f"image uses {len(image)} symbols; "
                                f"up to {MAX_SYMBOLS} are supported")
-    index = _representable_index(flavor, d.ground, names)
-    return index.get(_normalized_table(d))
+    want = _slot_names(d)
+    if want is None:
+        return None
+    unequal = ~_equal_pairs(want)
+    for shape, first, repeats, interior_edges in _scan_shapes(flavor, len(d.ground)):
+        if repeats & unequal:
+            continue
+        label = {v: want[j] for v, j in first}
+        if any(label[u] == label[w] for u, w in interior_edges):
+            continue
+        tree = PhyloTree(flavor, shape.adj,
+                         {v: d.ground[int(i)] for v, i in shape.leaf_name.items()},
+                         root=shape.root, leaf_order=d.ground)
+        return LabelledTree(tree, {v: image[label[v]] for v in tree.interior_vertices()},
+                            d.symbols)
+    return None
 
 
 # -- census ------------------------------------------------------------------------

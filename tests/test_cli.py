@@ -155,6 +155,31 @@ def test_cross_validate_agreement(capsys, tmp_path, rooted_tree_file, bad_map_fi
     assert "not-representable" in out
 
 
+@pytest.mark.parametrize("codomain, value, message", [
+    ("symbol", "A", "M conditions need a ground set of size at least 4"),
+    ("multiset", "3A", "conditions on multiset maps need a ground set of size at least 4"),
+])
+def test_cross_validate_refuses_three_leaves(capsys, tmp_path, codomain, value, message):
+    p = tmp_path / "three.tsv"
+    p.write_text(f"x y z value\n1 2 3 {value}\n")
+    code, out, err = run(capsys, "cross-validate", str(p), "--codomain", codomain)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_cross_validate_six_leaf_multiset_map(capsys, tmp_path):
+    from test_trees import random_labelled_tree
+
+    lt = random_labelled_tree(7, 6, "rooted", symbol_names=("A", "B", "C"),
+                              discriminating=True)
+    p = tmp_path / "six.tsv"
+    p.write_text(save_three_way_map(three_way_from_rooted(lt)))
+    code, out, _ = run(capsys, "cross-validate", str(p), "--codomain", "multiset")
+    assert code == 0
+    assert out == ("conditions: representable\nreconstruction: representable\n"
+                   "oracle: representable\nagree\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.tsv"
     p.write_text("x y z value\n1 2 3 3A\n")

@@ -7,6 +7,7 @@ from trisym import (
     EnumerationError,
     EnumerationSpec,
     SymbolTable,
+    ThreeWayMap,
     canonical_form,
     census,
     classify_quartet,
@@ -16,11 +17,14 @@ from trisym import (
     oracle_representable_three_way,
     three_way_from_rooted,
     three_way_from_unrooted,
+    tree_to_text,
 )
+from trisym.maps import KIND_MULTISET
 from trisym.oracle import ROOTED_SHAPE_COUNTS
 from trisym.trees import ROOTED, UNROOTED
 
-from conftest import random_multiset_map
+from conftest import multiset_alphabet, random_multiset_map
+from test_trees import random_labelled_tree
 
 
 def names(n):
@@ -191,6 +195,10 @@ def test_bounds_are_enforced(ab_table):
     big = SymbolTable(["A", "B", "C", "D"])
     with pytest.raises(EnumerationError):
         EnumerationSpec(names(4), tuple(big), ROOTED, True)
+    with pytest.raises(EnumerationError, match="leaf sets of 1 to 6 leaves are supported"):
+        EnumerationSpec((), tuple(ab_table), ROOTED, True)
+    with pytest.raises(EnumerationError, match="symbol sets of 1 to 3 symbols are supported"):
+        EnumerationSpec(names(4), (), ROOTED, True)
 
 
 def test_census_counts(ab_table):
@@ -198,3 +206,90 @@ def test_census_counts(ab_table):
     got = census(spec)
     assert got["shapes"] == 26
     assert got["labelled"] == 2 * 26
+
+
+# -- the search against the labelling index it replaced ------------------------------
+
+def reference_key(d):
+    flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
+    return flavor, d.ground, tuple(sorted(s.name for s in d.image_symbols()))
+
+
+_reference_index: dict = {}  # the index for the last reference_key asked for
+
+
+def reference_oracle(d):
+    """The first discriminating labelled tree over d's image symbols, in
+    enumerate_labelled_trees order, whose induced map equals d, or None;
+    found through an index of every such tree's map, which is built for
+    each reference_key in turn."""
+    key = reference_key(d)
+    if key not in _reference_index:
+        _reference_index.clear()
+        flavor, ground, symbols = key
+        construct = three_way_from_rooted if flavor == ROOTED else three_way_from_unrooted
+        spec = EnumerationSpec(ground, tuple(SymbolTable(symbols)), flavor)
+        index, shared = {}, {}
+        for lt in enumerate_labelled_trees(spec):
+            values = tuple(shared.setdefault(v, v) for v in construct(lt).values)
+            index.setdefault(values, lt)
+        _reference_index[key] = index
+    return _reference_index[key].get(d.values)
+
+
+def seeded_maps(n, seed, trees):
+    """Maps on n leaves of both flavors over 1-3 symbols: per flavor and
+    symbol count, the maps of `trees` random trees (discriminating or not),
+    a one-cell mutant of each (a copy, over one symbol), and as many random
+    maps.  Each map is laid out over one of two ground orders."""
+    rng = random.Random(seed)
+    orders = (names(n), tuple(rng.sample(names(n), n)))
+    for flavor in (ROOTED, UNROOTED):
+        construct = three_way_from_rooted if flavor == ROOTED else three_way_from_unrooted
+        for k in (1, 2, 3):
+            symbols = ("A", "B", "C")[:k]
+            for _ in range(trees):
+                lt = random_labelled_tree(rng.randrange(2**31), n - (flavor == UNROOTED),
+                                          flavor, symbol_names=symbols,
+                                          discriminating=k > 1 and rng.random() < 0.7)
+                d = construct(lt)
+                alphabet = list(d.symbols) if flavor == UNROOTED else multiset_alphabet(d.symbols)
+                values = list(d.values)
+                i = rng.randrange(len(values))
+                values[i] = rng.choice([v for v in alphabet if v != values[i]] or alphabet)
+                random_values = [rng.choice(alphabet) for _ in values]
+                for vals in (d.values, values, random_values):
+                    m = ThreeWayMap(d.kind, d.ground, vals, d.symbols)
+                    ground = rng.choice(orders)
+                    yield ThreeWayMap(d.kind, ground, [m.value(*t) for t in combinations(ground, 3)],
+                                      d.symbols)
+
+
+def assert_search_matches_the_index(maps):
+    found = 0
+    for d in sorted(maps, key=reference_key):
+        got, want = oracle_representable_three_way(d), reference_oracle(d)
+        assert (got is None) == (want is None), d.values
+        if want is not None:
+            assert tree_to_text(got) == tree_to_text(want)
+            assert got.labels == want.labels
+            assert got.tree.adj == want.tree.adj and got.tree.root == want.tree.root
+            found += 1
+    return found
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_search_returns_the_first_indexed_tree(n, quartet_trees):
+    """On seeded clean, mutated and random maps over two ground orders, the
+    shape scan returns exactly the tree the labelling index returns.  On
+    four leaves this includes the seven quartet patterns: three trees
+    represent pattern 3, and the search must return the first."""
+    maps = list(seeded_maps(n, 60 + n, trees=6))
+    if n == 4:
+        maps += [three_way_from_rooted(lt) for lt in quartet_trees.values()]
+    assert assert_search_matches_the_index(maps) > 0
+
+
+@pytest.mark.slow
+def test_search_returns_the_first_indexed_tree_on_six_leaves():
+    assert assert_search_matches_the_index(seeded_maps(6, 66, trees=4)) > 0

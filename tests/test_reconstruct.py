@@ -461,10 +461,12 @@ def test_decide_matches_conditions_beyond_the_oracle():
 def decision_agrees_with_conditions(flavor, seeds, lo, hi):
     """Seeded discriminating trees on lo-hi leaves over A,B,C, each with two
     one-cell mutants: the decision procedure agrees with the conditions (P
-    for rooted trees, M for unrooted ones), and every clean map rebuilds its
-    tree.  Returns the number of mutants decided not representable."""
+    for rooted trees, M for unrooted ones) and, on trees the oracle takes,
+    with the oracle, and every clean map rebuilds its tree.  Returns the
+    number of mutants decided not representable."""
     from trisym import check_three_way_ultrametric, check_tree_map
     from trisym.maps import ThreeWayMap
+    from trisym.oracle import MAX_LEAVES
     from conftest import multiset_alphabet
 
     if flavor == ROOTED:
@@ -481,6 +483,9 @@ def decision_agrees_with_conditions(flavor, seeds, lo, hi):
         out = decide(d)
         assert out.representable and labelled_isomorphic(out.tree, lt), repr(lt)
         assert not check(d, stop_after=1)
+        oracle = len(d.ground) <= MAX_LEAVES
+        if oracle:
+            assert labelled_isomorphic(oracle_representable_three_way(d), lt)
         alphabet = list(d.symbols) if flavor == UNROOTED else multiset_alphabet(d.symbols)
         for _ in range(2):
             values = list(d.values)
@@ -489,8 +494,17 @@ def decision_agrees_with_conditions(flavor, seeds, lo, hi):
             mutant = ThreeWayMap(d.kind, d.ground, values, d.symbols)
             decided = decide(mutant).representable
             assert decided == (not check(mutant, stop_after=1))
+            if oracle:
+                assert decided == (oracle_representable_three_way(mutant) is not None)
             negatives += not decided
     return negatives
+
+
+def test_decide_matches_conditions_and_the_oracle_on_six_leaves():
+    """Aim 3 at the oracle's limit: 40 discriminating rooted trees on six
+    leaves over A,B,C and their 80 mutants, against the P conditions and the
+    oracle."""
+    assert decision_agrees_with_conditions(ROOTED, range(40), 6, 6) > 0
 
 
 def test_decide_tree_map_matches_conditions_beyond_the_oracle():
