@@ -5,19 +5,21 @@ over the ordered ground set, so lookups are O(1) and serialization order is
 deterministic.  Maps are total by construction; partial data is a load-time
 error, not a representable state.  Each map keeps a position for every
 ground name; value() sorts the positions of its names and reads the slot at
-their closed-form lexicographic rank, so no lookup builds a key.
+their closed-form lexicographic rank, so no lookup builds a key.  The
+loaders write each row into its slot by the same rank; they and
+three_way_from_rooted make one object per distinct value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .symbols import Symbol, SymbolTable, TripleMultiset, parse_multiset
-from .trees import (LabelledTree, ROOTED, UNROOTED, TreeError, _LEAF_RE, median_of,
-                    table_triples)
+from .trees import LabelledTree, ROOTED, UNROOTED, TreeError, _LEAF_RE, table_triples
 
 KIND_SYMBOL = "symbol"
 KIND_MULTISET = "multiset"
@@ -189,9 +191,28 @@ class ThreeWayMap:
 
 
 # -- constructions from labelled trees ---------------------------------------
+#
+# Each construction reads one all-pairs leaf-lca table.  Given a ground
+# order (the tree's leaves, each once), the table and so the map are laid
+# out over it instead of the tree's leaf order, so the map compares with a
+# map on that ground as one tuple.
 
 def _vertex_labels(lt: LabelledTree) -> list[Optional[Symbol]]:
     return [lt.labels.get(v) for v in range(lt.tree.n_vertices)]
+
+
+def _leaf_lca_table(lt: LabelledTree, ground: Optional[Sequence[str]]
+                    ) -> tuple[Sequence[str], list[list[int]]]:
+    """The ground order, the tree's leaf order when None, and the tree's
+    leaf-lca table with its rows and columns permuted into that order."""
+    lca = lt.tree.leaf_lca_table()
+    if ground is None:
+        return lt.leaf_order, lca
+    at = dict(zip(lt.leaf_order, range(len(lca))))
+    order = [at.get(name, -1) for name in ground]
+    if sorted(order) != list(range(len(lca))):
+        raise MapError("the ground order must name each leaf of the tree once")
+    return ground, [[row[j] for j in order] for row in map(lca.__getitem__, order)]
 
 
 def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
@@ -204,7 +225,8 @@ def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
     return TwoWayMap(lt.leaf_order, values, lt.symbols)
 
 
-def three_way_from_unrooted(lt: LabelledTree) -> ThreeWayMap:
+def three_way_from_unrooted(lt: LabelledTree,
+                            ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = label of the median vertex, for an unrooted labelled
     tree: the deepest of the three pairwise lcas in one leaf-lca table."""
     if lt.flavor != UNROOTED:
@@ -212,20 +234,34 @@ def three_way_from_unrooted(lt: LabelledTree) -> ThreeWayMap:
     if len(lt.leaf_order) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
     label = _vertex_labels(lt)
-    values = [label[median_of(xy, xz, yz)]
-              for xy, xz, yz in table_triples(lt.tree.leaf_lca_table())]
-    return ThreeWayMap(KIND_SYMBOL, lt.leaf_order, values, lt.symbols)
+    ground, lca = _leaf_lca_table(lt, ground)
+    # median_of, inlined: a call per triple took a quarter of the time
+    values = [label[yz] if xy == xz else label[xz] if xy == yz else label[xy]
+              for xy, xz, yz in table_triples(lca)]
+    return ThreeWayMap(KIND_SYMBOL, ground, values, lt.symbols)
 
 
-def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
+def three_way_from_rooted(lt: LabelledTree,
+                          ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = multiset of the three pairwise lca labels, for a rooted
-    labelled tree."""
+    labelled tree.  One multiset is made per distinct triple of label names,
+    so equal values are one object."""
     if lt.flavor != ROOTED:
         raise MapError("three_way_from_rooted needs a rooted labelled tree")
-    label = _vertex_labels(lt)
-    values = [TripleMultiset.of(label[xy], label[xz], label[yz])
-              for xy, xz, yz in table_triples(lt.tree.leaf_lca_table())]
-    return ThreeWayMap(KIND_MULTISET, lt.leaf_order, values, lt.symbols)
+    symbol = {s.name: s for s in lt.labels.values()}
+    name = [s.name if s is not None else "" for s in _vertex_labels(lt)]
+    ground, lca = _leaf_lca_table(lt, ground)
+    names = [[name[v] for v in row] for row in lca]
+    made: dict[tuple[str, str, str], TripleMultiset] = {}
+    same: dict[TripleMultiset, TripleMultiset] = {}
+    values = []
+    for key in table_triples(names):
+        v = made.get(key)
+        if v is None:
+            v = TripleMultiset.of(*(symbol[k] for k in key))
+            v = made[key] = same.setdefault(v, v)
+        values.append(v)
+    return ThreeWayMap(KIND_MULTISET, ground, values, lt.symbols)
 
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:
@@ -273,50 +309,78 @@ def set_valued_view(d: ThreeWayMap) -> dict[frozenset, frozenset]:
 
 # -- text form ----------------------------------------------------------------
 
-def _ground(rows: list[list[str]], k: int) -> list[str]:
-    """The names in the first k columns, in order of first appearance."""
-    ground = list(dict.fromkeys(name for row in rows for name in row[:k]))
+def _rows(text: str, header: list[str], what: str) -> tuple[list[list[str]], list[str]]:
+    """The data rows of the text form and its ground set.
+
+    Blank lines and lines whose first word starts with '#' are skipped;
+    every other line must have as many columns as the header, which must
+    come first.  The ground set is the names in the leading columns, in
+    order of first appearance.
+    """
+    width = len(header)
+    lines = [line.split() for line in text.splitlines()]
+    rows = [parts for parts in lines if parts and parts[0][0] != "#"]
+    if set(map(len, rows)) - {width}:
+        lineno, parts = next((lineno, parts) for lineno, parts in enumerate(lines, 1)
+                             if parts and parts[0][0] != "#" and len(parts) != width)
+        raise MapError(f"line {lineno}: expected {width} columns, got {len(parts)}")
+    if not rows or rows[0] != header:
+        raise MapError(f"{what} map text must start with the header '{' '.join(header)}'")
+    del rows[0]
+    names = map(itemgetter(*range(width - 1)), rows)
+    ground = list(dict.fromkeys(chain.from_iterable(names)))
     for name in ground:
         if not _LEAF_RE.fullmatch(name):  # a name the tree text cannot carry
             raise MapError(f"bad leaf name {name!r}")
-    return ground
-
-
-def _map_rows(text: str, width: int) -> Iterator[list[str]]:
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != width:
-            raise MapError(f"line {lineno}: expected {width} columns, got {len(parts)}")
-        yield parts
+    return rows, ground
 
 
 def load_three_way_map(text: str, kind: str,
                        symbols: Optional[SymbolTable] = None) -> ThreeWayMap:
     """Load the TSV form: a 'x y z value' header then one row per 3-subset.
 
-    The ground-set order is the order of first appearance; completeness and
-    uniqueness of rows are validated.
+    The ground-set order is the order of first appearance.  Rows are read in
+    one pass: each row's value goes straight into the slot at its triple's
+    rank, and each distinct value text is parsed once, so equal values are
+    one object.  A filled slot is a duplicate row; after the pass, the
+    first empty slot in combinations order is the missing row.  The first
+    fault in file order is the one reported.
     """
     table = symbols if symbols is not None else SymbolTable()
-    rows = list(_map_rows(text, 4))
-    if not rows or rows[0] != ["x", "y", "z", "value"]:
-        raise MapError("three-way map text must start with the header 'x y z value'")
-    ground = _ground(rows[1:], 3)
-    seen: dict[frozenset, Value] = {}
-    for x, y, z, raw in rows[1:]:
-        key = frozenset((x, y, z))
-        if len(key) != 3:
+    rows, ground = _rows(text, ["x", "y", "z", "value"], "three-way")
+    pos = dict(zip(ground, range(len(ground))))
+    first, second = _rank_offsets(len(ground), 3)
+    slots: list[Optional[Value]] = [None] * comb(len(ground), 3)
+    if kind == KIND_MULTISET:
+        same: dict[TripleMultiset, TripleMultiset] = {}
+
+        def parse(raw: str) -> Value:
+            v = parse_multiset(raw, table)
+            return same.setdefault(v, v)
+    else:
+        parse = table.intern
+    parsed: dict[str, Value] = {}
+    for x, y, z, raw in rows:
+        a, b, c = pos[x], pos[y], pos[z]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a == b or b == c:
             raise MapError(f"triple ({x},{y},{z}) repeats a name")
-        if key in seen:
+        i = first[a] - second[b] + c
+        if slots[i] is not None:
             raise MapError(f"duplicate row for triple ({x},{y},{z})")
-        if kind == KIND_MULTISET:
-            seen[key] = parse_multiset(raw, table)
-        else:
-            seen[key] = table.intern(raw)
-    return ThreeWayMap.from_triples(kind, ground, seen, table)
+        v = parsed.get(raw)
+        if v is None:
+            v = parsed[raw] = parse(raw)
+        slots[i] = v
+    if len(rows) != len(slots):
+        missing = next(islice(combinations(ground, 3), slots.index(None), None))
+        raise MapError(f"missing value for triple {sorted(missing)}")
+    return ThreeWayMap(kind, ground, slots, table)  # type: ignore[arg-type]
 
 
 def save_three_way_map(d: ThreeWayMap) -> str:
@@ -328,21 +392,25 @@ def save_three_way_map(d: ThreeWayMap) -> str:
 
 
 def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWayMap:
-    """Load the TSV form: a 'x y value' header then one row per 2-subset."""
+    """Load the TSV form: a 'x y value' header then one row per 2-subset,
+    read in one pass into rank slots as load_three_way_map reads triples."""
     table = symbols if symbols is not None else SymbolTable()
-    rows = list(_map_rows(text, 3))
-    if not rows or rows[0] != ["x", "y", "value"]:
-        raise MapError("two-way map text must start with the header 'x y value'")
-    ground = _ground(rows[1:], 2)
-    seen: dict[frozenset, Symbol] = {}
-    for x, y, raw in rows[1:]:
-        key = frozenset((x, y))
-        if len(key) != 2:
+    rows, ground = _rows(text, ["x", "y", "value"], "two-way")
+    pos = dict(zip(ground, range(len(ground))))
+    first, = _rank_offsets(len(ground), 2)
+    slots: list[Optional[Symbol]] = [None] * comb(len(ground), 2)
+    for x, y, raw in rows:
+        a, b = pos[x], pos[y]
+        if a == b:
             raise MapError(f"pair ({x},{y}) repeats a name")
-        if key in seen:
+        i = first[a] + b if a < b else first[b] + a
+        if slots[i] is not None:
             raise MapError(f"duplicate row for pair ({x},{y})")
-        seen[key] = table.intern(raw)
-    return TwoWayMap.from_pairs(ground, seen, table)
+        slots[i] = table.intern(raw)
+    if len(rows) != len(slots):
+        missing = next(islice(combinations(ground, 2), slots.index(None), None))
+        raise MapError(f"missing value for pair {sorted(missing)}")
+    return TwoWayMap(ground, slots, table)  # type: ignore[arg-type]
 
 
 def save_two_way_map(d: TwoWayMap) -> str:

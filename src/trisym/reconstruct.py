@@ -8,7 +8,9 @@ two-way map by projecting through one leaf.  Multiset maps on five or more
 leaves recover each pair value from one five-point combination
 (conditions.pair_counts), in Theta(n^3) overall.  The final verification
 is mandatory: BUILD can return a tree even when the map is not
-representable.
+representable.  It builds the candidate's map laid out over the input's
+own ground order, so the two compare as one tuple of values, while the
+reported tree keeps its own leaf order.
 
 The triplet route for multiset maps (triplets_from_three_way,
 recover_two_way, is_fixed_cherry_map) extracts triplets from the
@@ -423,7 +425,9 @@ def _decide_through(d: ThreeWayMap, r: str) -> ReconstructionOutcome:
     if isinstance(rooted, ReconstructionOutcome):
         return rooted
     candidate = collapse_to_discriminating(farris_inverse(rooted, r))
-    if three_way_from_unrooted(candidate) == d:
+    # the candidate's map is laid out over d.ground, so == compares one tuple;
+    # the candidate keeps its own leaf order, which tree_to_text starts from
+    if three_way_from_unrooted(candidate, d.ground) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
     return ReconstructionOutcome(
         NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
@@ -462,7 +466,7 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
     if isinstance(labelled, ReconstructionOutcome):
         return labelled
     candidate = collapse_to_discriminating(labelled)
-    if three_way_from_rooted(candidate) == d:
+    if three_way_from_rooted(candidate, d.ground) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
     return ReconstructionOutcome(
         NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,

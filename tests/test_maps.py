@@ -216,3 +216,12 @@ def test_ground_order_is_first_appearance():
     text = "x y z value\n5 2 3 3A\n5 2 4 3A\n5 3 4 3A\n2 3 4 3A\n"
     d = load_three_way_map(text, KIND_MULTISET)
     assert d.ground == ("5", "2", "3", "4")
+
+
+@pytest.mark.parametrize("kind, bad", [(KIND_SYMBOL, "1A"), (KIND_MULTISET, "0A+3B")])
+def test_a_duplicate_row_is_reported_before_its_own_bad_value(kind, bad):
+    good = "A" if kind == KIND_SYMBOL else "3A"
+    with pytest.raises(MapError, match=r"^duplicate row for triple \(3,2,1\)$"):
+        load_three_way_map(f"x y z value\n1 2 3 {good}\n3 2 1 {bad}\n", kind)
+    with pytest.raises(MapError, match=r"^duplicate row for pair \(2,1\)$"):
+        load_two_way_map("x y value\n1 2 A\n2 1 1A\n")
