@@ -6,13 +6,13 @@ deterministic.  Maps are total by construction; partial data is a load-time
 error, not a representable state.  Each map keeps a position for every
 ground name; value() sorts the positions of its names and reads the slot at
 their closed-form lexicographic rank, so no lookup builds a key.  The
-loaders write each row into its slot by the same rank; they and
-three_way_from_rooted make one object per distinct value.
+loaders write each row into its slot by the same rank and parse each
+distinct value text once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from math import comb
 from operator import itemgetter
@@ -191,28 +191,9 @@ class ThreeWayMap:
 
 
 # -- constructions from labelled trees ---------------------------------------
-#
-# Each construction reads one all-pairs leaf-lca table.  Given a ground
-# order (the tree's leaves, each once), the table and so the map are laid
-# out over it instead of the tree's leaf order, so the map compares with a
-# map on that ground as one tuple.
 
 def _vertex_labels(lt: LabelledTree) -> list[Optional[Symbol]]:
     return [lt.labels.get(v) for v in range(lt.tree.n_vertices)]
-
-
-def _leaf_lca_table(lt: LabelledTree, ground: Optional[Sequence[str]]
-                    ) -> tuple[Sequence[str], list[list[int]]]:
-    """The ground order, the tree's leaf order when None, and the tree's
-    leaf-lca table with its rows and columns permuted into that order."""
-    lca = lt.tree.leaf_lca_table()
-    if ground is None:
-        return lt.leaf_order, lca
-    at = dict(zip(lt.leaf_order, range(len(lca))))
-    order = [at.get(name, -1) for name in ground]
-    if sorted(order) != list(range(len(lca))):
-        raise MapError("the ground order must name each leaf of the tree once")
-    return ground, [[row[j] for j in order] for row in map(lca.__getitem__, order)]
 
 
 def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
@@ -228,40 +209,48 @@ def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
 def three_way_from_unrooted(lt: LabelledTree,
                             ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = label of the median vertex, for an unrooted labelled
-    tree: the deepest of the three pairwise lcas in one leaf-lca table."""
+    tree: the deepest of the three pairwise lcas in one leaf-lca table.
+
+    Given a ground order (the tree's leaves, each once), the table and so
+    the map are laid out over it instead of the tree's leaf order, so the
+    map compares with a map on that ground as one tuple.
+    """
     if lt.flavor != UNROOTED:
         raise MapError("three_way_from_unrooted needs an unrooted labelled tree")
     if len(lt.leaf_order) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
     label = _vertex_labels(lt)
-    ground, lca = _leaf_lca_table(lt, ground)
+    lca = lt.tree.leaf_lca_table()
+    if ground is None:
+        ground = lt.leaf_order
+    else:
+        at = dict(zip(lt.leaf_order, range(len(lca))))
+        order = [at.get(name, -1) for name in ground]
+        if sorted(order) != list(range(len(lca))):
+            raise MapError("the ground order must name each leaf of the tree once")
+        lca = [[row[j] for j in order] for row in map(lca.__getitem__, order)]
     # median_of, inlined: a call per triple took a quarter of the time
     values = [label[yz] if xy == xz else label[xz] if xy == yz else label[xy]
               for xy, xz, yz in table_triples(lca)]
     return ThreeWayMap(KIND_SYMBOL, ground, values, lt.symbols)
 
 
-def three_way_from_rooted(lt: LabelledTree,
-                          ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
+def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
     """delta(x,y,z) = multiset of the three pairwise lca labels, for a rooted
-    labelled tree.  One multiset is made per distinct triple of label names,
-    so equal values are one object."""
+    labelled tree.  One multiset is made per distinct triple of label names."""
     if lt.flavor != ROOTED:
         raise MapError("three_way_from_rooted needs a rooted labelled tree")
     symbol = {s.name: s for s in lt.labels.values()}
     name = [s.name if s is not None else "" for s in _vertex_labels(lt)]
-    ground, lca = _leaf_lca_table(lt, ground)
-    names = [[name[v] for v in row] for row in lca]
+    names = [[name[v] for v in row] for row in lt.tree.leaf_lca_table()]
     made: dict[tuple[str, str, str], TripleMultiset] = {}
-    same: dict[TripleMultiset, TripleMultiset] = {}
     values = []
     for key in table_triples(names):
         v = made.get(key)
         if v is None:
-            v = TripleMultiset.of(*(symbol[k] for k in key))
-            v = made[key] = same.setdefault(v, v)
+            v = made[key] = TripleMultiset.of(*(symbol[k] for k in key))
         values.append(v)
-    return ThreeWayMap(KIND_MULTISET, ground, values, lt.symbols)
+    return ThreeWayMap(KIND_MULTISET, lt.leaf_order, values, lt.symbols)
 
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:
@@ -341,8 +330,8 @@ def load_three_way_map(text: str, kind: str,
 
     The ground-set order is the order of first appearance.  Rows are read in
     one pass: each row's value goes straight into the slot at its triple's
-    rank, and each distinct value text is parsed once, so equal values are
-    one object.  A filled slot is a duplicate row; after the pass, the
+    rank, and each distinct value text is parsed once, so values spelled
+    alike are one object.  A filled slot is a duplicate row; after the pass, the
     first empty slot in combinations order is the missing row.  The first
     fault in file order is the one reported.
     """
@@ -351,14 +340,7 @@ def load_three_way_map(text: str, kind: str,
     pos = dict(zip(ground, range(len(ground))))
     first, second = _rank_offsets(len(ground), 3)
     slots: list[Optional[Value]] = [None] * comb(len(ground), 3)
-    if kind == KIND_MULTISET:
-        same: dict[TripleMultiset, TripleMultiset] = {}
-
-        def parse(raw: str) -> Value:
-            v = parse_multiset(raw, table)
-            return same.setdefault(v, v)
-    else:
-        parse = table.intern
+    parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
     parsed: dict[str, Value] = {}
     for x, y, z, raw in rows:
         a, b, c = pos[x], pos[y], pos[z]

@@ -8,9 +8,10 @@ two-way map by projecting through one leaf.  Multiset maps on five or more
 leaves recover each pair value from one five-point combination
 (conditions.pair_counts), in Theta(n^3) overall.  The final verification
 is mandatory: BUILD can return a tree even when the map is not
-representable.  It builds the candidate's map laid out over the input's
-own ground order, so the two compare as one tuple of values, while the
-reported tree keeps its own leaf order.
+representable.  The candidate's map is laid out over the input's own
+ground order, so the two compare as one tuple of values: a rooted
+candidate's leaf order already is that order, and an unrooted candidate's
+map is permuted into it while the reported tree keeps its own leaf order.
 
 The triplet route for multiset maps (triplets_from_three_way,
 recover_two_way, is_fixed_cherry_map) extracts triplets from the
@@ -466,7 +467,7 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
     if isinstance(labelled, ReconstructionOutcome):
         return labelled
     candidate = collapse_to_discriminating(labelled)
-    if three_way_from_rooted(candidate, d.ground) == d:
+    if three_way_from_rooted(candidate) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
     return ReconstructionOutcome(
         NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
