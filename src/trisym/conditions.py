@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .maps import KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap
+from .maps import KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap, _rank_offsets
 from .symbols import Symbol, SymbolCombination, SymbolTable, TripleMultiset, parse_multiset
 
 U1, U2, M1, M2, P1, P2, P3 = "U1", "U2", "M1", "M2", "P1", "P2", "P3"
@@ -102,29 +102,82 @@ def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None) -> list[Vio
     if len(d.ground) < 4:
         raise MapError("M conditions need a ground set of size at least 4")
     out: list[Violation] = []
-    for x, y, z, u in combinations(d.ground, 4):
-        vals = [d.value(x, y, z), d.value(x, y, u), d.value(x, z, u), d.value(y, z, u)]
-        sizes = sorted(vals.count(v) for v in set(vals))
-        if sizes not in ([4], [2, 2]):
-            shown = ",".join(v.name for v in vals)
-            out.append(Violation(
-                M1, (x, y, z, u),
-                f"triple values {shown} split neither all-equal nor two-and-two"))
+    table, _ = _slot_codes(d)
+    for kind, k, test in ((M1, 4, _m1_violation), (M2, 5, _m2_violation)):
+        for witness, detail in _scan(d, table, k, test):
+            out.append(Violation(kind, witness, detail))
             if stop_after and len(out) >= stop_after:
                 return out
-    for five in combinations(d.ground, 5):
-        for v in five:
-            rest = tuple(n for n in five if n != v)
-            hit = _pi_pattern(lambda a, b: d.value(v, a, b), rest)
-            if hit is not None:
-                out.append(Violation(
-                    M2, five,
-                    f"slice through {v} realizes the forbidden alternating pattern "
-                    f"on ({','.join(hit)})"))
-                if stop_after and len(out) >= stop_after:
-                    return out
-                break
     return out
+
+
+def _m1_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:
+    x, y, z, u = quad
+    vals = [d.value(x, y, z), d.value(x, y, u), d.value(x, z, u), d.value(y, z, u)]
+    if sorted(vals.count(v) for v in set(vals)) in ([4], [2, 2]):
+        return None
+    shown = ",".join(v.name for v in vals)  # type: ignore[union-attr]
+    return f"triple values {shown} split neither all-equal nor two-and-two"
+
+
+def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
+    for v in five:
+        rest = tuple(n for n in five if n != v)
+        hit = _pi_pattern(lambda a, b: d.value(v, a, b), rest)
+        if hit is not None:
+            return (f"slice through {v} realizes the forbidden alternating pattern "
+                    f"on ({','.join(hit)})")
+    return None
+
+
+# -- packed slot codes ---------------------------------------------------------
+
+# Each image symbol, in name order, is one base-64 digit; a value's code is
+# the sum of its entries' digits, so equal codes mean equal values.  A
+# k-subset's key is the codes of its triples in combinations order, the
+# column order of the five-point system below for k = 5.
+_SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (4, 5)}
+
+
+def _slot_codes(d: ThreeWayMap) -> tuple[list, list[int]]:
+    """The code of every slot as table[a][b][c] for positions a < b < c, and
+    the digit of each image symbol in name order."""
+    names = sorted({s.name for s in d.image_symbols()})
+    digits = [1 << 6 * i for i in range(len(names))]
+    digit = dict(zip(names, digits))
+    if d.kind == KIND_SYMBOL:
+        flat = [digit[v.name] for v in d.values]  # type: ignore[union-attr]
+    else:
+        flat = [sum(digit[s.name] for s in v.entries) for v in d.values]  # type: ignore[union-attr]
+    n = len(d.ground)
+    first, second = _rank_offsets(n, 3)
+    table = [[[0] * (b + 1) + flat[first[a] - second[b] + b + 1:first[a] - second[b] + n]
+              if b > a else None for b in range(n)] for a in range(n)]
+    return table, digits
+
+
+def _scan(d: ThreeWayMap, table: list, k: int, test: Callable,
+          clean: Optional[Callable[[tuple], bool]] = None) -> Iterator[tuple]:
+    """(subset, fault) for each k-subset of d.ground, in combinations order,
+    on which test(d, subset) returns a fault rather than None.
+
+    test runs only where clean(key) fails.  Without clean, the keys of the
+    subsets that came out clean are remembered for this scan, and a repeat
+    is skipped: every family's verdict depends only on the values at the
+    subset's rank positions.
+    """
+    seen: set[tuple] = set()
+    known = clean or seen.__contains__
+    ground, triples = d.ground, _SUBSET_TRIPLES[k]
+    for s in combinations(range(len(ground)), k):
+        key = tuple([table[s[i]][s[j]][s[m]] for i, j, m in triples])
+        if not known(key):
+            subset = tuple([ground[i] for i in s])
+            fault = test(d, subset)
+            if fault is None:
+                seen.add(key)
+            else:
+                yield subset, fault
 
 
 # -- the five-point linear system ----------------------------------------------
@@ -134,34 +187,16 @@ def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None) -> list[Vio
 # column order: triples in lexicographic order
 #   (x,y,z),(x,y,u),(x,y,v),(x,z,u),(x,z,v),(x,u,v),(y,z,u),(y,z,v),(y,u,v),(z,u,v).
 # TRIPLE_OF_PAIRS expresses each triple value as the sum of its three pair
-# values; PAIR_OF_TRIPLES is its exact inverse (entries times 1/6).
+# values: 1 where the triple holds the pair.  PAIR_OF_TRIPLES is its exact
+# inverse, entries times 1/6: 2 where the triple holds both or neither of the
+# pair, -1 where it holds one of them.
 
-TRIPLE_OF_PAIRS: tuple[tuple[int, ...], ...] = (
-    (1, 1, 0, 0, 1, 0, 0, 0, 0, 0),
-    (1, 0, 1, 0, 0, 1, 0, 0, 0, 0),
-    (1, 0, 0, 1, 0, 0, 1, 0, 0, 0),
-    (0, 1, 1, 0, 0, 0, 0, 1, 0, 0),
-    (0, 1, 0, 1, 0, 0, 0, 0, 1, 0),
-    (0, 0, 1, 1, 0, 0, 0, 0, 0, 1),
-    (0, 0, 0, 0, 1, 1, 0, 1, 0, 0),
-    (0, 0, 0, 0, 1, 0, 1, 0, 1, 0),
-    (0, 0, 0, 0, 0, 1, 1, 0, 0, 1),
-    (0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
-)
-
-PAIR_OF_TRIPLES_NUMERATORS: tuple[tuple[int, ...], ...] = (
-    (2, 2, 2, -1, -1, -1, -1, -1, -1, 2),
-    (2, -1, -1, 2, 2, -1, -1, -1, 2, -1),
-    (-1, 2, -1, 2, -1, 2, -1, 2, -1, -1),
-    (-1, -1, 2, -1, 2, 2, 2, -1, -1, -1),
-    (2, -1, -1, -1, -1, 2, 2, 2, -1, -1),
-    (-1, 2, -1, -1, 2, -1, 2, -1, 2, -1),
-    (-1, -1, 2, 2, -1, -1, -1, 2, 2, -1),
-    (-1, -1, 2, 2, -1, -1, 2, -1, -1, 2),
-    (-1, 2, -1, -1, 2, -1, -1, 2, -1, 2),
-    (2, -1, -1, -1, -1, 2, -1, -1, 2, 2),
-)
-
+_PAIRS = tuple(combinations(range(5), 2))
+TRIPLE_OF_PAIRS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(int(set(p) <= set(t)) for p in _PAIRS) for t in _SUBSET_TRIPLES[5])
+PAIR_OF_TRIPLES_NUMERATORS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(-1 if len(set(p) & set(t)) == 1 else 2 for t in _SUBSET_TRIPLES[5])
+    for p in _PAIRS)
 PAIR_OF_TRIPLES: tuple[tuple[Fraction, ...], ...] = tuple(
     tuple(Fraction(n, 6) for n in row) for row in PAIR_OF_TRIPLES_NUMERATORS
 )
@@ -276,17 +311,14 @@ def check_three_way_ultrametric(d: ThreeWayMap,
     if len(d.ground) < 5:
         raise MapError("P conditions need a ground set of size at least 5")
     out: list[Violation] = []
-
-    for five in combinations(d.ground, 5):
-        for p, q in combinations(five, 2):
-            e, f, g = [n for n in five if n != p and n != q]
-            counts = pair_counts(d, p, q, e, f, g)
-            if not counts_are_valid(counts):
-                out.append(Violation(
-                    P1, five,
-                    f"combination for pair ({p},{q}) is {counts_combination(counts).text()}"))
-                if stop_after and len(out) >= stop_after:
-                    return out
+    table, digits = _slot_codes(d)
+    singles = {6 * g for g in digits}
+    for five, pairs in _scan(d, table, 5, _p1_violations,
+                             lambda key: singles.issuperset(_pair_codes(key))):
+        for detail in pairs:
+            out.append(Violation(P1, five, detail))
+            if stop_after and len(out) >= stop_after:
+                return out
 
     for t, v in d.triples():
         if len(v.support) > 2:  # type: ignore[union-attr]
@@ -294,13 +326,33 @@ def check_three_way_ultrametric(d: ThreeWayMap,
             if stop_after and len(out) >= stop_after:
                 return out
 
-    for quad in combinations(d.ground, 4):
-        hit = _p3_violation(d, quad)
-        if hit is not None:
-            out.append(Violation(P3, quad, hit))
-            if stop_after and len(out) >= stop_after:
-                return out
+    for quad, hit in _scan(d, table, 4, _p3_violation):
+        out.append(Violation(P3, quad, hit))
+        if stop_after and len(out) >= stop_after:
+            return out
     return out
+
+
+# Per pair row of the five-point system, the columns with coefficient +2.
+_PLUS_COLUMNS = tuple(tuple(j for j, c in enumerate(row) if c == 2)
+                      for row in PAIR_OF_TRIPLES_NUMERATORS)
+
+
+def _pair_codes(key: tuple) -> list[int]:
+    """Per pair row, pair_counts as one packed code: 2*(sum of the row's +2
+    columns) - (sum of the rest) = 3*(sum of the +2 columns) - total.
+    Every digit lies in [-18, 24], so the code fixes the counts, and as the
+    counts sum to 6 they are valid exactly when the code is 6 times a digit."""
+    total = sum(key)
+    return [3 * (key[i] + key[j] + key[k] + key[m]) - total for i, j, k, m in _PLUS_COLUMNS]
+
+
+def _p1_violations(d: ThreeWayMap, five: Sequence[str]) -> Iterator[str]:
+    for p, q in combinations(five, 2):
+        e, f, g = [n for n in five if n != p and n != q]
+        counts = pair_counts(d, p, q, e, f, g)
+        if not counts_are_valid(counts):
+            yield f"combination for pair ({p},{q}) is {counts_combination(counts).text()}"
 
 
 def _p3_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:

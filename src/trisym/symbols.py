@@ -21,11 +21,9 @@ class Symbol:
     """A label from the alphabet, interned in a SymbolTable.
 
     Equality and hashing go by display name, so symbols interned in
-    different tables compare equal when they mean the same label.  The
-    id is table-local: the order in which the table interned the name.
+    different tables compare equal when they mean the same label.
     """
 
-    id: int
     name: str
 
     def __eq__(self, other: object) -> bool:
@@ -39,11 +37,11 @@ class Symbol:
 
 
 class SymbolTable:
-    """Interns display names to Symbols; name <-> id is a bijection per table."""
+    """Interns display names to Symbols, one Symbol per name, kept in the
+    order the names were first interned."""
 
     def __init__(self, names: Iterable[str] = ()):
         self._by_name: dict[str, Symbol] = {}
-        self._by_id: list[Symbol] = []
         for n in names:
             self.intern(n)
 
@@ -52,19 +50,17 @@ class SymbolTable:
         if sym is None:
             if not _NAME_RE.fullmatch(name):
                 raise SymbolError(f"bad symbol name {name!r}")
-            sym = Symbol(len(self._by_id), name)
-            self._by_name[name] = sym
-            self._by_id.append(sym)
+            sym = self._by_name[name] = Symbol(name)
         return sym
 
     def get(self, name: str) -> Optional[Symbol]:
         return self._by_name.get(name)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._by_name)
 
     def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._by_id)
+        return iter(self._by_name.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -520,6 +520,13 @@ def test_decide_matches_conditions_on_larger_trees(flavor):
     assert decision_agrees_with_conditions(flavor, range(1000, 1100), 10, 16) > 0
 
 
+@pytest.mark.parametrize("flavor", [ROOTED, UNROOTED])
+def test_decide_matches_conditions_on_13_to_16_leaves(flavor):
+    """A tier-1 slice at the top of that range: 12 trees per flavor on 13-16
+    leaves (an unrooted random tree has one leaf more) and their mutants."""
+    assert decision_agrees_with_conditions(flavor, range(2000, 2012), 13, 16) > 0
+
+
 def test_outcome_text(five_leaf_rooted, block_value_map):
     good = decide_ultrametric(three_way_from_rooted(five_leaf_rooted))
     assert good.text().startswith("verdict: representable")
