@@ -11,7 +11,7 @@ what the reference returned when it stopped early.
 import random
 import string
 import sys
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,6 @@ from trisym import (
     FivePointSystem,
     SymbolTable,
     ThreeWayMap,
-    TripleMultiset,
     TwoWayMap,
     check_three_way_ultrametric,
     check_tree_map,
@@ -37,6 +36,7 @@ from trisym.conditions import (
 from trisym.trees import ROOTED, UNROOTED
 
 sys.path.insert(0, str(Path(__file__).parent))
+from conftest import multiset_alphabet, random_multiset_map, random_plain_map  # noqa: E402
 from test_trees import random_labelled_tree  # noqa: E402
 
 NAMES = tuple(string.ascii_uppercase[:12])
@@ -89,9 +89,7 @@ def reference_check_three_way_ultrametric(d):
 
 
 def _alphabet(kind, table):
-    if kind == KIND_SYMBOL:
-        return list(table)
-    return [TripleMultiset.of(*c) for c in combinations_with_replacement(list(table), 3)]
+    return list(table) if kind == KIND_SYMBOL else multiset_alphabet(table)
 
 
 def _mutant(d, rng, cells):
@@ -103,11 +101,8 @@ def _mutant(d, rng, cells):
 
 
 def _random_map(kind, leaves, symbols, rng):
-    table = SymbolTable(NAMES[:symbols])
-    ground = [str(i + 1) for i in range(leaves)]
-    alphabet = _alphabet(kind, table)
-    return ThreeWayMap(kind, ground, [rng.choice(alphabet) for _ in combinations(ground, 3)],
-                       table)
+    make = random_multiset_map if kind == KIND_MULTISET else random_plain_map
+    return make([str(i + 1) for i in range(leaves)], SymbolTable(NAMES[:symbols]), rng)
 
 
 def _assembled_map(leaves, symbols, rng):
