@@ -42,37 +42,71 @@ def _rank_offsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             tuple(comb(n - b, 2) + b + 1 for b in range(n)))
 
 
-class TwoWayMap:
-    """A total map from 2-subsets of the ground set into symbols."""
+class _TotalMap:
+    """What both arities share: one value per k-subset of the ground set,
+    in combinations order, with each name's position and the rank offsets
+    that each arity's value() reads a slot by."""
 
     __slots__ = ("ground", "values", "symbols", "_pos", "_offsets")
+    _k, _what, _noun = 0, "", ""  # subset size, map name, subset name
 
-    def __init__(self, ground: Sequence[str], values: Sequence[Symbol],
+    def __init__(self, ground: Sequence[str], values: Sequence[Value],
                  symbols: SymbolTable):
         self.ground = tuple(ground)
         n = len(self.ground)
         if n < 3:
-            raise MapError("two-way maps need a ground set of size at least 3")
+            raise MapError(f"{self._what} maps need a ground set of size at least 3")
         self._pos = dict(zip(self.ground, range(n)))
         if len(self._pos) != n:
             raise MapError("duplicate names in the ground set")
-        self._offsets = _rank_offsets(n, 2)
+        self._offsets = _rank_offsets(n, self._k)
         self.values = tuple(values)
-        if len(self.values) != n * (n - 1) // 2:
-            raise MapError("two-way map table is not total")
+        if len(self.values) != comb(n, self._k):
+            raise MapError(f"{self._what} map table is not total")
         self.symbols = symbols
+
+    @classmethod
+    def _table_values(cls, ground: Sequence[str], table: Mapping) -> list:
+        """The values of a table keyed by subsets, in combinations order."""
+        norm = {frozenset(k): v for k, v in table.items()}
+        values = []
+        for subset in combinations(ground, cls._k):
+            key = frozenset(subset)
+            if key not in norm:
+                raise MapError(f"missing value for {cls._noun} {sorted(subset)}")
+            values.append(norm[key])
+        return values
+
+    def _items(self) -> Iterator[tuple[tuple[str, ...], Value]]:
+        return zip(combinations(self.ground, self._k), self.values)
+
+    def __eq__(self, other: object) -> bool:
+        # a three-way map's kind is the type of its values, so equal values
+        # mean equal kinds
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.ground == other.ground:
+            return self.values == other.values
+        if self._pos.keys() != other._pos.keys():
+            return False
+        return self.values == tuple(other.value(*s)  # type: ignore[attr-defined]
+                                    for s in combinations(self.ground, self._k))
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.ground), frozenset(
+            (frozenset(s), v) for s, v in self._items())))
+
+
+class TwoWayMap(_TotalMap):
+    """A total map from 2-subsets of the ground set into symbols."""
+
+    __slots__ = ()
+    _k, _what, _noun = 2, "two-way", "pair"
 
     @classmethod
     def from_pairs(cls, ground: Sequence[str], table: Mapping[frozenset, Symbol] | Mapping[tuple, Symbol],
                    symbols: SymbolTable) -> "TwoWayMap":
-        norm = {frozenset(k): v for k, v in table.items()}
-        values = []
-        for pair in combinations(ground, 2):
-            key = frozenset(pair)
-            if key not in norm:
-                raise MapError(f"missing value for pair {sorted(pair)}")
-            values.append(norm[key])
-        return cls(ground, values, symbols)
+        return cls(ground, cls._table_values(ground, table), symbols)
 
     def value(self, x: str, y: str) -> Symbol:
         pos = self._pos
@@ -84,66 +118,34 @@ class TwoWayMap:
         first, = self._offsets
         return self.values[first[a] + b]
 
-    def pairs(self) -> Iterator[tuple[tuple[str, str], Symbol]]:
-        for pair, v in zip(combinations(self.ground, 2), self.values):
-            yield pair, v
+    pairs = _TotalMap._items
 
     def image_symbols(self) -> set[Symbol]:
         return set(self.values)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoWayMap):
-            return NotImplemented
-        if self.ground == other.ground:
-            return self.values == other.values
-        if self._pos.keys() != other._pos.keys():
-            return False
-        return self.values == tuple(other.value(*s) for s in combinations(self.ground, 2))
 
-    def __hash__(self) -> int:
-        return hash((frozenset(self.ground), frozenset(
-            (frozenset(p), v) for p, v in self.pairs())))
-
-
-class ThreeWayMap:
+class ThreeWayMap(_TotalMap):
     """A total map from 3-subsets of the ground set into symbols (kind
     'symbol') or size-3 multisets of symbols (kind 'multiset')."""
 
-    __slots__ = ("kind", "ground", "values", "symbols", "_pos", "_offsets")
+    __slots__ = ("kind",)
+    _k, _what, _noun = 3, "three-way", "triple"
 
     def __init__(self, kind: str, ground: Sequence[str], values: Sequence[Value],
                  symbols: SymbolTable):
         if kind not in (KIND_SYMBOL, KIND_MULTISET):
             raise MapError(f"unknown codomain kind {kind!r}")
         self.kind = kind
-        self.ground = tuple(ground)
-        n = len(self.ground)
-        if n < 3:
-            raise MapError("three-way maps need a ground set of size at least 3")
-        self._pos = dict(zip(self.ground, range(n)))
-        if len(self._pos) != n:
-            raise MapError("duplicate names in the ground set")
-        self._offsets = _rank_offsets(n, 3)
-        self.values = tuple(values)
-        if len(self.values) != n * (n - 1) * (n - 2) // 6:
-            raise MapError("three-way map table is not total")
+        super().__init__(ground, values, symbols)
         want = Symbol if kind == KIND_SYMBOL else TripleMultiset
         for v in self.values:
             if not isinstance(v, want):
                 raise MapError(f"value {v!r} does not match codomain kind {kind!r}")
-        self.symbols = symbols
 
     @classmethod
     def from_triples(cls, kind: str, ground: Sequence[str],
                      table: Mapping, symbols: SymbolTable) -> "ThreeWayMap":
-        norm = {frozenset(k): v for k, v in table.items()}
-        values = []
-        for triple in combinations(ground, 3):
-            key = frozenset(triple)
-            if key not in norm:
-                raise MapError(f"missing value for triple {sorted(triple)}")
-            values.append(norm[key])
-        return cls(kind, ground, values, symbols)
+        return cls(kind, ground, cls._table_values(ground, table), symbols)
 
     def value(self, x: str, y: str, z: str) -> Value:
         pos = self._pos
@@ -159,9 +161,7 @@ class ThreeWayMap:
         first, second = self._offsets
         return self.values[first[a] - second[b] + c]
 
-    def triples(self) -> Iterator[tuple[tuple[str, str, str], Value]]:
-        for triple, v in zip(combinations(self.ground, 3), self.values):
-            yield triple, v
+    triples = _TotalMap._items
 
     def image(self) -> set[Value]:
         return set(self.values)
@@ -173,21 +173,6 @@ class ThreeWayMap:
         for v in self.values:
             out.update(v.entries)  # type: ignore[union-attr]
         return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ThreeWayMap):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.ground == other.ground:
-            return self.values == other.values
-        if self._pos.keys() != other._pos.keys():
-            return False
-        return self.values == tuple(other.value(*s) for s in combinations(self.ground, 3))
-
-    def __hash__(self) -> int:
-        return hash((self.kind, frozenset(self.ground), frozenset(
-            (frozenset(t), v) for t, v in self.triples())))
 
 
 # -- constructions from labelled trees ---------------------------------------

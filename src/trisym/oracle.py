@@ -138,8 +138,6 @@ def enumerate_shapes(flavor: str, leaves: Sequence[str]) -> Iterator[PhyloTree]:
     if len(leaves) < 3:
         raise EnumerationError("unrooted shapes need at least 3 leaves")
     for s in rooted_shapes(leaves[:-1]):
-        if isinstance(s, str):
-            continue
         yield _materialize(s, leaves[-1], leaves)
 
 

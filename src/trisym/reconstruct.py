@@ -2,13 +2,14 @@
 
 Both decision procedures reduce to a two-way map and then to three-leaf
 statements: extract the triplets a representing tree would have to
-display, run BUILD, infer interior labels from the two-way map, and verify
-the candidate exactly against the input.  Plain-symbol maps get their
-two-way map by projecting through one leaf.  Multiset maps on five or more
-leaves recover each pair value from one five-point combination
-(conditions.pair_counts), in Theta(n^3) overall.  The final verification
-is mandatory: BUILD can return a tree even when the map is not
-representable.  The candidate's map is laid out over the input's own
+display, run BUILD, read the interior labels off BUILD's tree, and verify
+the candidate exactly against the input.  Reading the labels cannot fail,
+so a two-way map fails only at triplet extraction or BUILD.  Plain-symbol
+maps get their two-way map by projecting through one leaf.  Multiset maps
+on five or more leaves recover each pair value from one five-point
+combination (conditions.pair_counts), in Theta(n^3) overall.  The final
+verification is mandatory: BUILD can return a tree even when the map is
+not representable.  The candidate's map is laid out over the input's own
 ground order, so the two compare as one tuple of values: a rooted
 candidate's leaf order already is that order, and an unrooted candidate's
 map is permuted into it while the reported tree keeps its own leaf order.
@@ -348,29 +349,19 @@ def _witnessed(d: ThreeWayMap, x: str, y: str, z: str) -> bool:
     return False
 
 
-# -- label inference --------------------------------------------------------------------
+# -- labelling ------------------------------------------------------------------------
 
-def _label_tree_from_two_way(shape: PhyloTree, d2: TwoWayMap) -> Optional[LabelledTree]:
-    """Label each interior vertex with the pair value shared by all leaf pairs
-    whose lca it is; None on any conflict."""
-    lca = shape.leaf_lca_table()
-    index = {name: i for i, name in enumerate(shape.leaf_order)}
-    labels: dict[int, Symbol] = {}
-    for (x, y), val in d2.pairs():
-        v = lca[index[x]][index[y]]
-        if v in labels:
-            if labels[v] != val:
-                return None
-        else:
-            labels[v] = val
-    if set(labels) != set(shape.interior_vertices()):
-        return None
-    return LabelledTree(shape, labels, d2.symbols)
-
-
-def _tree_from_two_way(d2: TwoWayMap, source: str) -> LabelledTree | ReconstructionOutcome:
+def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
     """Triplets, BUILD and labelling of a two-way map: the labelled rooted
-    tree, or the negative outcome of the first stage that fails."""
+    tree, or the negative outcome of the triplet or BUILD stage.
+
+    Labelling cannot fail once BUILD succeeds: all pairs with one lca carry
+    one value.  Leaves x, x' joined by a triplet have D(x,y) = D(x',y) for
+    every y in another component, or xy|x' or x'y|x would join y's
+    component; and a triple spread over three components is all-equal.  So
+    each interior label is read once, off BUILD's tree, whose leaf order is
+    the ground order of d2.
+    """
     try:
         trips = triplets_from_two_way(d2)
     except NotUltrametricError as err:
@@ -380,49 +371,29 @@ def _tree_from_two_way(d2: TwoWayMap, source: str) -> LabelledTree | Reconstruct
     if shape is None:
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
                                      detail="triplets are not displayed by any tree")
-    labelled = _label_tree_from_two_way(shape, d2)
-    if labelled is None:
-        return ReconstructionOutcome(
-            NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-            detail=f"no interior labelling matches the {source}")
-    return labelled
+    lca = shape.leaf_lca_table()
+    pairs = combinations(range(len(d2.ground)), 2)
+    return LabelledTree(shape, {lca[i][j]: v for (i, j), v in zip(pairs, d2.values)},
+                        d2.symbols)
 
 
 # -- decision procedures ------------------------------------------------------------------
 
-def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None,
-                    check_all_leaves: bool = False) -> ReconstructionOutcome:
+def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None) -> ReconstructionOutcome:
     """Decide whether a plain-symbol three-way map comes from an unrooted
     labelled tree, and reconstruct the unique discriminating one if so.
 
     Projects through a fixed leaf r (first ground-set element by default;
     the verdict is independent of the choice), reconstructs the rooted
     two-way representation, re-attaches r, and verifies over all triples.
-    check_all_leaves re-runs the procedure through every leaf and insists
-    the outcomes agree, as a self-check.
     """
     if d.kind != KIND_SYMBOL:
         raise MapError("decide_tree_map applies to plain-symbol maps")
     if len(d.ground) < 4:
         raise MapError("decide_tree_map needs a ground set of size at least 4")
-    if not check_all_leaves:
-        return _decide_through(d, d.ground[0] if r is None else r)
-    outcomes = [_decide_through(d, leaf) for leaf in d.ground]
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        same = other.verdict == first.verdict
-        if same and first.tree is not None:
-            from .trees import labelled_isomorphic
-
-            same = labelled_isomorphic(other.tree, first.tree)
-        if not same:
-            raise MapError("projection leaves disagree; internal inconsistency")
-    return first
-
-
-def _decide_through(d: ThreeWayMap, r: str) -> ReconstructionOutcome:
-    """decide_tree_map through one projection leaf r."""
-    rooted = _tree_from_two_way(farris_project(d, r), "projected map")
+    if r is None:
+        r = d.ground[0]
+    rooted = _tree_from_two_way(farris_project(d, r))
     if isinstance(rooted, ReconstructionOutcome):
         return rooted
     candidate = collapse_to_discriminating(farris_inverse(rooted, r))
@@ -445,9 +416,9 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
          labelling-verification, as the map admits no pairwise labelling;
       2. triplet extraction from the recovered pairwise map (a triple with
          three distinct pair values fails here);
-      3. BUILD;
-      4. labelling of the BUILD tree from the recovered pairwise map;
-      5. collapse to the discriminating tree and exact verification of the
+      3. BUILD, whose tree then takes its labels from the recovered
+         pairwise map, a step that cannot fail;
+      4. collapse to the discriminating tree and exact verification of the
          candidate against every triple of d (labelling-verification).
     Every representable verdict comes from the exact verification.  On four
     leaves the quartet machinery takes over and uniqueness may fail.
@@ -463,7 +434,7 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
     except PairContradictionError as err:
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
                                      detail=str(err))
-    labelled = _tree_from_two_way(pairwise, "recovered pairwise map")
+    labelled = _tree_from_two_way(pairwise)
     if isinstance(labelled, ReconstructionOutcome):
         return labelled
     candidate = collapse_to_discriminating(labelled)

@@ -108,6 +108,55 @@ def test_check_m_on_plain_map(capsys, tmp_path, unrooted_tree_file):
     assert code == 0 and out.strip() == "clean"
 
 
+U_MAPS = {
+    "clean": ("1 2 A", "1 3 B", "2 3 B"),
+    "U1": ("1 2 A", "1 3 B", "2 3 C"),
+    "U2": ("1 2 A", "1 3 B", "1 4 B", "2 3 A", "2 4 B", "3 4 A"),
+}
+
+U_VIOLATIONS = {
+    "U1": (["1", "2", "3"], "three pairwise distinct values A,B,C"),
+    "U2": (["1", "2", "3", "4"], "D(1,2)=D(2,3)=D(3,4)=A but D(3,1)=D(1,4)=D(4,2)=B"),
+}
+
+
+def two_way_file(tmp_path, rows):
+    p = tmp_path / "pairs.tsv"
+    p.write_text("x y value\n" + "".join(f"{row}\n" for row in rows))
+    return str(p)
+
+
+def test_check_u_on_clean_map(capsys, tmp_path):
+    path = two_way_file(tmp_path, U_MAPS["clean"])
+    assert run(capsys, "check", path, "--conditions", "U") == (0, "clean\n", "")
+    code, out, _ = run(capsys, "check", path, "--conditions", "U", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"conditions": "U", "violations": []}
+
+
+@pytest.mark.parametrize("kind", sorted(U_VIOLATIONS))
+def test_check_u_reports_violations(capsys, tmp_path, kind):
+    path = two_way_file(tmp_path, U_MAPS[kind])
+    witness, detail = U_VIOLATIONS[kind]
+    code, out, err = run(capsys, "check", path, "--conditions", "U")
+    assert (code, out, err) == (1, f"{kind} at ({','.join(witness)}): {detail}\n", "")
+    code, out, _ = run(capsys, "check", path, "--conditions", "U", "--format", "json")
+    assert code == 1
+    assert out == json.dumps({"conditions": "U", "violations": [
+        {"kind": kind, "witness": witness, "detail": detail}]}, indent=2) + "\n"
+
+
+def test_check_u_on_malformed_map(capsys, tmp_path):
+    path = two_way_file(tmp_path, ("1 2 A", "1 3 B"))
+    assert run(capsys, "check", path, "--conditions", "U") == (
+        2, "", "error: missing value for pair ['2', '3']\n")
+
+
+def test_farris_refuses_rooted_tree(capsys, rooted_tree_file):
+    assert run(capsys, "farris", rooted_tree_file, "--leaf", "1") == (
+        2, "", "error: the leaf re-rooting transform expects an unrooted tree\n")
+
+
 def test_farris_on_tree(capsys, tmp_path, unrooted_tree_file):
     out_path = tmp_path / "rooted.tree"
     code, _, _ = run(capsys, "farris", unrooted_tree_file, "--leaf", "1",

@@ -27,7 +27,7 @@ from trisym import (
     two_way_from_tree,
 )
 from trisym.reconstruct import STAGE_BUILD, STAGE_LABELS
-from trisym.trees import ROOTED, TreeBuilder, UNROOTED
+from trisym.trees import LabelledTree, ROOTED, TreeBuilder, TripletSet, UNROOTED
 
 from conftest import constant_multiset_map, multiset_map, pivot_leaf_map
 from test_trees import random_labelled_tree, seeds
@@ -335,8 +335,6 @@ def test_recover_two_way_example(five_leaf_rooted):
 
 def test_recover_two_way_constant(ab_table):
     d = constant_multiset_map(tuple("12345"), "3A", ab_table)
-    from trisym.trees import TripletSet
-
     recovered = recover_two_way(d, TripletSet(d.ground, frozenset()))
     assert {v.name for _, v in recovered.pairs()} == {"A"}
 
@@ -346,6 +344,61 @@ def test_recover_two_way_contradiction(block_value_map):
     tree = build(trips, block_value_map.ground)
     with pytest.raises(PairContradictionError):
         recover_two_way(block_value_map, displayed_triplets(tree))
+
+
+def test_recover_two_way_names_a_value_with_three_symbols(abc_table):
+    d = multiset_map(tuple("123"), {"123": "A+B+C"}, abc_table)
+    with pytest.raises(PairContradictionError,
+                       match=r"value A\+B\+C on \(1,2,3\) has three distinct symbols"):
+        recover_two_way(d, TripletSet(d.ground, frozenset({Triplet.of("1", "2", "3")})))
+
+
+def test_recover_two_way_names_disagreeing_third_leaves(ab_table):
+    rows = {"123": "3A", "124": "3B", "134": "3A", "234": "3A"}
+    d = multiset_map(tuple("1234"), rows, ab_table)
+    with pytest.raises(PairContradictionError,
+                       match=r"pair \(1,2\): third leaves disagree: A vs B"):
+        recover_two_way(d, TripletSet(d.ground, frozenset()))
+
+
+# -- labelling --------------------------------------------------------------------------------
+
+def random_pair_map(rng, i):
+    """The i-th map of a seeded mix on 4-10 leaves over 2-4 symbols: a random
+    pair map, a random tree's pair map, or that map with one or two cells
+    changed to another symbol."""
+    n = rng.randint(4, 10)
+    names = ("A", "B", "C", "D")[:rng.randint(2, 4)]
+    if i % 4 == 0:
+        table = SymbolTable(names)
+        ground = [str(k + 1) for k in range(n)]
+        return TwoWayMap(ground, [rng.choice(list(table)) for _ in combinations(ground, 2)],
+                         table)
+    d2 = two_way_from_tree(random_labelled_tree(rng.randrange(10**9), n, ROOTED, names))
+    values = list(d2.values)
+    for _ in range(i % 4 - 1):
+        k = rng.randrange(len(values))
+        values[k] = rng.choice([s for s in d2.symbols if s != values[k]])
+    return TwoWayMap(d2.ground, values, d2.symbols)
+
+
+def test_labelling_a_build_tree_cannot_fail():
+    """Once triplets and BUILD succeed on a pair map, the labels read off
+    BUILD's tree reproduce the map; otherwise the triplet or BUILD stage
+    names the failure."""
+    from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
+
+    rng = random.Random(6120)
+    stages = {"built": 0, STAGE_TRIPLETS: 0, STAGE_BUILD: 0}
+    for i in range(3200):
+        d2 = random_pair_map(rng, i)
+        out = _tree_from_two_way(d2)
+        if isinstance(out, LabelledTree):
+            assert two_way_from_tree(out) == d2
+            stages["built"] += 1
+        else:
+            stages[out.failure_stage] += 1
+    assert min(stages.values()) > 100, stages
 
 
 # -- decision procedures -----------------------------------------------------------------------
@@ -375,11 +428,17 @@ def test_decide_tree_map_r_independence(ab_table):
 
 
 def test_decide_tree_map_self_check_mode(five_leaf_unrooted, ab_table):
-    d = three_way_from_unrooted(five_leaf_unrooted)
-    out = decide_tree_map(d, check_all_leaves=True)
-    assert out.representable
-    bad = decide_tree_map(pivot_leaf_map(5, ab_table), check_all_leaves=True)
-    assert not bad.representable
+    """Every projection leaf gives the same verdict and, when representable,
+    labelled-isomorphic trees."""
+    for d, want in ((three_way_from_unrooted(five_leaf_unrooted), True),
+                    (pivot_leaf_map(5, ab_table), False)):
+        first = decide_tree_map(d, d.ground[0])
+        assert first.representable is want
+        for r in d.ground[1:]:
+            out = decide_tree_map(d, r)
+            assert out.verdict == first.verdict
+            if want:
+                assert labelled_isomorphic(out.tree, first.tree)
 
 
 def test_decide_ultrametric_roundtrip(five_leaf_rooted):
@@ -400,6 +459,21 @@ def test_decide_ultrametric_block_map_names_the_combination(block_value_map):
     assert "pair (1,3)" in out.detail
     assert "(1,2,3,4,5)" in out.detail
     assert "(1/2)A+(1/2)B" in out.detail
+
+
+def test_decide_ultrametric_four_leaves_with_four_symbols():
+    table = SymbolTable(["A", "B", "C", "D"])
+    rows = {"123": "3A", "124": "3B", "134": "3C", "234": "3D"}
+    out = decide_ultrametric(multiset_map(tuple("1234"), rows, table))
+    assert (out.verdict, out.failure_stage, out.detail) == (
+        "not-representable", STAGE_BUILD, "more image symbols than interior vertices")
+
+
+def test_decide_ultrametric_four_leaves_without_a_tree(ab_table):
+    rows = {"123": "3B", "124": "3A", "134": "3A", "234": "3A"}
+    out = decide_ultrametric(multiset_map(tuple("1234"), rows, ab_table))
+    assert (out.verdict, out.failure_stage, out.detail) == (
+        "not-representable", STAGE_BUILD, "no four-leaf labelled tree matches")
 
 
 def test_decide_ultrametric_locally_consistent(locally_consistent_map):
