@@ -149,8 +149,7 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
     else:
         outcome = reconstruct.decide_ultrametric(d)
     verdicts = {"conditions": checker, "reconstruction": outcome.representable}
-    if len(d.ground) <= oracle.MAX_LEAVES and \
-            len({s.name for s in d.image_symbols()}) <= oracle.MAX_SYMBOLS:
+    if len(d.ground) <= oracle.MAX_LEAVES:
         verdicts["oracle"] = oracle.oracle_representable_three_way(d) is not None
     agree = len(set(verdicts.values())) == 1
     if args.format == "json":

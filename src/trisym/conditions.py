@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Callable, Iterator, Optional, Sequence
 
 from .maps import KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap, _rank_offsets
@@ -68,47 +68,46 @@ def _pi_pattern(value: Callable[[str, str], object], quad: Sequence[str]) -> Opt
 # -- two-way maps: U1 / U2 -----------------------------------------------------
 
 def check_ultrametric(d: TwoWayMap, stop_after: Optional[int] = None) -> list[Violation]:
-    """All U1/U2 violations; empty exactly when d is representable by lca
-    labels of a rooted labelled tree."""
-    out: list[Violation] = []
+    """All U1/U2 violations, or the first stop_after of them; empty exactly
+    when d is representable by lca labels of a rooted labelled tree."""
+    return list(islice(_u_violations(d), stop_after or None))
+
+
+def _u_violations(d: TwoWayMap) -> Iterator[Violation]:
     for x, y, z in combinations(d.ground, 3):
         vals = (d.value(x, y), d.value(x, z), d.value(y, z))
         if len(set(vals)) == 3:
-            out.append(Violation(
+            yield Violation(
                 U1, (x, y, z),
-                f"three pairwise distinct values {vals[0].name},{vals[1].name},{vals[2].name}"))
-            if stop_after and len(out) >= stop_after:
-                return out
+                f"three pairwise distinct values {vals[0].name},{vals[1].name},{vals[2].name}")
     for quad in combinations(d.ground, 4):
         hit = _pi_pattern(d.value, quad)
         if hit is not None:
             x, y, z, u = hit
-            out.append(Violation(
+            yield Violation(
                 U2, quad,
                 f"D({x},{y})=D({y},{z})=D({z},{u})={d.value(x, y).name} but "
-                f"D({z},{x})=D({x},{u})=D({u},{y})={d.value(z, x).name}"))
-            if stop_after and len(out) >= stop_after:
-                return out
-    return out
+                f"D({z},{x})=D({x},{u})=D({u},{y})={d.value(z, x).name}")
 
 
 # -- plain-symbol three-way maps: M1 / M2 --------------------------------------
 
 def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None) -> list[Violation]:
-    """All M1/M2 violations; empty exactly when d is representable by median
-    labels of an unrooted labelled tree (ground set of size at least 4)."""
+    """All M1/M2 violations, or the first stop_after of them; empty exactly
+    when d is representable by median labels of an unrooted labelled tree
+    (ground set of size at least 4)."""
     if d.kind != KIND_SYMBOL:
         raise MapError("M conditions apply to plain-symbol three-way maps")
     if len(d.ground) < 4:
         raise MapError("M conditions need a ground set of size at least 4")
-    out: list[Violation] = []
+    return list(islice(_m_violations(d), stop_after or None))
+
+
+def _m_violations(d: ThreeWayMap) -> Iterator[Violation]:
     table, _ = _slot_codes(d)
     for kind, k, test in ((M1, 4, _m1_violation), (M2, 5, _m2_violation)):
         for witness, detail in _scan(d, table, k, test):
-            out.append(Violation(kind, witness, detail))
-            if stop_after and len(out) >= stop_after:
-                return out
-    return out
+            yield Violation(kind, witness, detail)
 
 
 def _m1_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:
@@ -304,33 +303,30 @@ class FivePointSystem:
 
 def check_three_way_ultrametric(d: ThreeWayMap,
                                 stop_after: Optional[int] = None) -> list[Violation]:
-    """All P1/P2/P3 violations; empty exactly when d is representable by the
-    pairwise lca-label multisets of a rooted labelled tree (|X| >= 5)."""
+    """All P1/P2/P3 violations, or the first stop_after of them; empty
+    exactly when d is representable by the pairwise lca-label multisets of
+    a rooted labelled tree (|X| >= 5)."""
     if d.kind != KIND_MULTISET:
         raise MapError("P conditions apply to multiset three-way maps")
     if len(d.ground) < 5:
         raise MapError("P conditions need a ground set of size at least 5")
-    out: list[Violation] = []
+    return list(islice(_p_violations(d), stop_after or None))
+
+
+def _p_violations(d: ThreeWayMap) -> Iterator[Violation]:
     table, digits = _slot_codes(d)
     singles = {6 * g for g in digits}
     for five, pairs in _scan(d, table, 5, _p1_violations,
                              lambda key: singles.issuperset(_pair_codes(key))):
         for detail in pairs:
-            out.append(Violation(P1, five, detail))
-            if stop_after and len(out) >= stop_after:
-                return out
+            yield Violation(P1, five, detail)
 
     for t, v in d.triples():
         if len(v.support) > 2:  # type: ignore[union-attr]
-            out.append(Violation(P2, t, f"value {v.text()} has three distinct symbols"))  # type: ignore[union-attr]
-            if stop_after and len(out) >= stop_after:
-                return out
+            yield Violation(P2, t, f"value {v.text()} has three distinct symbols")  # type: ignore[union-attr]
 
     for quad, hit in _scan(d, table, 4, _p3_violation):
-        out.append(Violation(P3, quad, hit))
-        if stop_after and len(out) >= stop_after:
-            return out
-    return out
+        yield Violation(P3, quad, hit)
 
 
 # Per pair row of the five-point system, the columns with coefficient +2.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import LabelledTree, ROOTED, TreeError, UNROOTED, copy_below
+from .trees import LabelledTree, PhyloTree, ROOTED, TreeError, UNROOTED, copy_below
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ def farris_transform(lt: LabelledTree, r: str) -> FarrisResult:
 def farris_inverse(lt: LabelledTree, r: str) -> LabelledTree:
     """Attach a new leaf r to the root and forget edge directions.
 
-    Undoes farris_transform up to labelled isomorphism.
+    Undoes farris_transform up to labelled isomorphism.  The vertices keep
+    their numbers and r is the last vertex; each vertex lists its parent,
+    then its children, and the root lists its children, then r.
     """
     tree = lt.tree
     if tree.flavor != ROOTED:
@@ -48,9 +50,11 @@ def farris_inverse(lt: LabelledTree, r: str) -> LabelledTree:
     if r in tree.leaf_vertex:
         raise TreeError(f"leaf name {r!r} already occurs in the tree")
 
-    builder, labels, _, root = copy_below(lt, tree.root, -1, tree.leaf_vertex)
-    leaf = builder.add_vertex(r)
-    builder.add_edge(root, leaf)
-    order = list(tree.leaf_order) + [r]
-    unrooted = builder.tree(UNROOTED, leaf_order=order)
-    return LabelledTree(unrooted, labels, lt.symbols)
+    leaf = tree.n_vertices
+    adj = [([] if up is None else [up]) + list(kids)
+           for up, kids in zip(tree.parent, tree.children)]
+    adj[tree.root].append(leaf)
+    adj.append([tree.root])
+    unrooted = PhyloTree(UNROOTED, adj, {**tree.leaf_name, leaf: r},
+                         leaf_order=tree.leaf_order + (r,))
+    return LabelledTree(unrooted, lt.labels, lt.symbols)

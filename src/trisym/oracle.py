@@ -36,7 +36,6 @@ from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, UNROOTED, medi
 
 MAX_LEAVES = 6
 MAX_SYMBOLS = 3
-OUTPUT_CAP = 5_000_000
 
 # Known counts of rooted phylogenetic tree shapes on n labelled leaves,
 # used as an independent cross-check of the enumeration.
@@ -65,14 +64,6 @@ class EnumerationSpec:
             raise EnumerationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == UNROOTED and len(self.leaves) < 3:
             raise EnumerationError("unrooted enumeration needs at least 3 leaves")
-
-
-def estimated_count(spec: EnumerationSpec) -> int:
-    """A cheap upper bound on the number of labelled trees the spec yields."""
-    n = len(spec.leaves)
-    shapes = ROOTED_SHAPE_COUNTS[n - 1 if spec.flavor == UNROOTED else n]
-    max_interior = max(1, n - 1)
-    return shapes * len(spec.symbols) ** max_interior
 
 
 # -- shapes -------------------------------------------------------------------
@@ -169,8 +160,6 @@ def _labellings(tree: PhyloTree, symbols: Sequence[Symbol],
 
 def enumerate_labelled_trees(spec: EnumerationSpec) -> Iterator[LabelledTree]:
     """Stream every labelled tree matching the spec, each exactly once."""
-    if estimated_count(spec) > OUTPUT_CAP:
-        raise EnumerationError("estimated output exceeds the enumeration cap")
     table = SymbolTable()
     for sym in spec.symbols:
         table.intern(sym.name)
@@ -245,11 +234,10 @@ def _equal_pairs(names: Sequence[str]) -> int:
     return mask
 
 
-def oracle_representable_three_way(d: ThreeWayMap,
-                                   flavor: Optional[str] = None) -> Optional[LabelledTree]:
+def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
     """The first discriminating labelled tree on the ground set, in
     enumerate_labelled_trees order, whose induced map equals d, or None.
-    Defaults to rooted search for multiset maps and unrooted search for
+    Searches rooted trees for multiset maps and unrooted trees for
     plain-symbol maps.
 
     A representing tree leaves no labels to choose: each interior vertex is
@@ -263,24 +251,15 @@ def oracle_representable_three_way(d: ThreeWayMap,
     the labels off the first shape that passes, and skips it when the
     labelling is not discriminating.  The shapes and their masks are built
     once per flavor and leaf count and kept; they depend on neither the
-    leaf names nor the symbols, so the cost of a query is per shape.
+    leaf names nor the symbols, so the cost of a query is per shape, whatever
+    the number of symbols.
     """
-    if flavor is None:
-        flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
-    if flavor == ROOTED and d.kind != KIND_MULTISET:
-        raise MapError("rooted representability applies to multiset maps")
-    if flavor == UNROOTED and d.kind != KIND_SYMBOL:
-        raise MapError("unrooted representability applies to plain-symbol maps")
+    flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
     if len(d.ground) > MAX_LEAVES:
         raise EnumerationError(f"ground sets up to {MAX_LEAVES} are supported")
     if flavor == UNROOTED and len(d.ground) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
     image = {s.name: s for s in d.image_symbols()}
-    if len(image) > MAX_SYMBOLS:
-        # a representing tree would need every image symbol as a label, so
-        # the search space is out of bounds rather than empty
-        raise EnumerationError(f"image uses {len(image)} symbols; "
-                               f"up to {MAX_SYMBOLS} are supported")
     want = _slot_names(d)
     if want is None:
         return None

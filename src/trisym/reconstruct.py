@@ -4,7 +4,9 @@ Both decision procedures reduce to a two-way map and then to three-leaf
 statements: extract the triplets a representing tree would have to
 display, run BUILD, read the interior labels off BUILD's tree, and verify
 the candidate exactly against the input.  Reading the labels cannot fail,
-so a two-way map fails only at triplet extraction or BUILD.  Plain-symbol
+so a two-way map fails only at triplet extraction or BUILD.  BUILD's
+labelled tree is already discriminating, so it is the candidate as built,
+with the projection leaf attached in place for tree-maps.  Plain-symbol
 maps get their two-way map by projecting through one leaf.  Multiset maps
 on five or more leaves recover each pair value from one five-point
 combination (conditions.pair_counts), in Theta(n^3) overall.  The final
@@ -32,8 +34,8 @@ from .conditions import (classify_quartet, counts_combination, counts_singleton,
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    farris_project, three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, TripleMultiset
-# displayed_triplets is not called here; it stays importable from this module,
-# where callers look it up as an attribute.
+# displayed_triplets and collapse_to_discriminating are not called here; they
+# stay importable from this module, where callers look them up as attributes.
 from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, Triplet,
                     TripletSet, collapse_to_discriminating, displayed_triplets,
                     table_triples)
@@ -361,6 +363,15 @@ def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
     component; and a triple spread over three components is all-equal.  So
     each interior label is read once, off BUILD's tree, whose leaf order is
     the ground order of d2.
+
+    The labelled tree is discriminating, so no collapse follows.  D is its
+    lca map; take a vertex of D's discriminating tree with label s.  No
+    triplet joins leaves in two different children of that vertex: for x,
+    y in different children and z in x's child, D(y,z) = s = D(x,y).  And
+    inside a child c whose label t differs from s, two leaves under
+    different children of c are joined by xy|z for any z outside c.  So
+    each BUILD level splits its leaf set into exactly the children of that
+    vertex, and BUILD's tree is the discriminating tree.
     """
     try:
         trips = triplets_from_two_way(d2)
@@ -396,7 +407,7 @@ def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None) -> ReconstructionOu
     rooted = _tree_from_two_way(farris_project(d, r))
     if isinstance(rooted, ReconstructionOutcome):
         return rooted
-    candidate = collapse_to_discriminating(farris_inverse(rooted, r))
+    candidate = farris_inverse(rooted, r)
     # the candidate's map is laid out over d.ground, so == compares one tuple;
     # the candidate keeps its own leaf order, which tree_to_text starts from
     if three_way_from_unrooted(candidate, d.ground) == d:
@@ -417,9 +428,10 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
       2. triplet extraction from the recovered pairwise map (a triple with
          three distinct pair values fails here);
       3. BUILD, whose tree then takes its labels from the recovered
-         pairwise map, a step that cannot fail;
-      4. collapse to the discriminating tree and exact verification of the
-         candidate against every triple of d (labelling-verification).
+         pairwise map, a step that cannot fail, and is the discriminating
+         candidate;
+      4. exact verification of the candidate against every triple of d
+         (labelling-verification).
     Every representable verdict comes from the exact verification.  On four
     leaves the quartet machinery takes over and uniqueness may fail.
     """
@@ -434,10 +446,9 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
     except PairContradictionError as err:
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
                                      detail=str(err))
-    labelled = _tree_from_two_way(pairwise)
-    if isinstance(labelled, ReconstructionOutcome):
-        return labelled
-    candidate = collapse_to_discriminating(labelled)
+    candidate = _tree_from_two_way(pairwise)
+    if isinstance(candidate, ReconstructionOutcome):
+        return candidate
     if three_way_from_rooted(candidate) == d:
         return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
     return ReconstructionOutcome(

@@ -16,9 +16,10 @@ bottom-up, over the walk read in reverse.
 The trees that parsing, copying, BUILD and the oracle make list, in each
 vertex's adjacency, its children in order and then its parent, as a
 recursive construction would, and parsing, copying and BUILD number the
-vertices as that construction would.  The walk takes neighbours in
-adjacency order, so the text of such a tree keeps the order it was built
-in.
+vertices as that construction would.  farris_inverse and
+collapse_to_discriminating list the parent first, then the children.  The
+walk takes neighbours in adjacency order, so the text of such a tree keeps
+the order it was built in.
 
 Whole-tree constructions (lca maps, median maps, displayed triplets) read
 one all-pairs leaf-lca table, PhyloTree.leaf_lca_table, built in O(n^2)
@@ -367,9 +368,6 @@ class LabelledTree:
     def leaf_order(self) -> tuple[str, ...]:
         return self.tree.leaf_order
 
-    def label_at(self, v: int) -> Symbol:
-        return self.labels[v]
-
     def lca_label(self, x: str, y: str) -> Symbol:
         return self.labels[self.tree.lca(x, y)]
 
@@ -537,37 +535,33 @@ def is_discriminating(lt: LabelledTree) -> bool:
 def collapse_to_discriminating(lt: LabelledTree) -> LabelledTree:
     """Contract every interior edge whose two endpoints share a label.
 
-    The leaf set and the induced symbolic map are unchanged; the result is
-    discriminating.
+    One pass over the stored walk: an interior vertex whose label equals its
+    parent's takes its parent's image, and every other vertex gets a new
+    one, numbered in walk order, which lists its parent's image and then its
+    children's.  The leaf set and the induced symbolic map are unchanged;
+    the result is discriminating.
     """
     tree = lt.tree
-    parent_uf = list(range(tree.n_vertices))
-
-    def find(v: int) -> int:
-        while parent_uf[v] != v:
-            parent_uf[v] = parent_uf[parent_uf[v]]
-            v = parent_uf[v]
-        return v
-
-    for u, w in tree.edges():
-        if not tree.is_leaf(u) and not tree.is_leaf(w) and lt.labels[u] == lt.labels[w]:
-            parent_uf[find(u)] = find(w)
-
-    reps = sorted({find(v) for v in range(tree.n_vertices)})
-    new_index = {rep: i for i, rep in enumerate(reps)}
+    labels = lt.labels
+    order, parent = tree._walked
     builder = TreeBuilder()
-    for rep in reps:
-        builder.add_vertex(tree.leaf_name.get(rep))
-    seen = set()
-    for u, w in tree.edges():
-        a, b = new_index[find(u)], new_index[find(w)]
-        if a != b and (min(a, b), max(a, b)) not in seen:
-            seen.add((min(a, b), max(a, b)))
-            builder.add_edge(a, b)
-    new_labels = {new_index[find(v)]: lab for v, lab in lt.labels.items()}
-    root = new_index[find(tree.root)] if tree.flavor == ROOTED else None
+    image = [0] * tree.n_vertices
+    kept: dict[int, Symbol] = {}
+    for v in order:
+        up = parent[v]
+        if up in labels and v in labels and labels[v] == labels[up]:
+            image[v] = image[up]
+            continue
+        image[v] = builder.add_vertex(tree.leaf_name.get(v))
+        if v in labels:
+            kept[image[v]] = labels[v]
+        if up >= 0:
+            builder.add_edge(image[up], image[v])
+    # a rooted walk starts at the root, so the root's image is vertex 0; an
+    # unrooted walk may start at a leaf, which merges with nothing
+    root = 0 if tree.flavor == ROOTED else None
     newtree = builder.tree(tree.flavor, root=root, leaf_order=tree.leaf_order)
-    return LabelledTree(newtree, new_labels, lt.symbols)
+    return LabelledTree(newtree, kept, lt.symbols)
 
 
 def copy_below(lt: LabelledTree, start: int, stop: int, keep: Container[str]

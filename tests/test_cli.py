@@ -229,6 +229,23 @@ def test_cross_validate_six_leaf_multiset_map(capsys, tmp_path):
                    "oracle: representable\nagree\n")
 
 
+@pytest.mark.parametrize("value,verdict", [("3D", "representable"),
+                                           ("A+2D", "not-representable")])
+def test_cross_validate_runs_the_oracle_on_four_symbols(capsys, tmp_path, value, verdict):
+    """The oracle reads its labels off the map, so six-leaf maps over four
+    symbols get its verdict too: a clean map and its one-cell mutant."""
+    from trisym import parse_newick
+
+    lt = parse_newick("rooted", "((((1,2)A,3)B,4)C,5,6)D;")
+    text = save_three_way_map(three_way_from_rooted(lt))
+    p = tmp_path / "six.tsv"
+    p.write_text(text.replace("4 5 6 3D", f"4 5 6 {value}"))
+    code, out, _ = run(capsys, "cross-validate", str(p), "--codomain", "multiset")
+    assert code == 0
+    assert out == (f"conditions: {verdict}\nreconstruction: {verdict}\n"
+                   f"oracle: {verdict}\nagree\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.tsv"
     p.write_text("x y z value\n1 2 3 3A\n")

@@ -71,6 +71,8 @@ def test_u_stop_after(abc_table):
     full = check_ultrametric(d)
     assert len(full) > 1
     assert check_ultrametric(d, stop_after=1) == full[:1]
+    assert check_ultrametric(d, stop_after=2) == full[:2]
+    assert check_ultrametric(d, stop_after=0) == full
 
 
 # -- three-way tree-map conditions ---------------------------------------------------

@@ -10,6 +10,7 @@ from trisym import (
     labelled_isomorphic,
     parse_newick,
     three_way_from_unrooted,
+    tree_to_text,
     two_way_from_tree,
 )
 from trisym.trees import ROOTED, UNROOTED
@@ -60,6 +61,14 @@ def test_round_trip_example(five_leaf_unrooted):
     rooted = farris_transform(five_leaf_unrooted, "1").rooted
     back = farris_inverse(rooted, "1")
     assert labelled_isomorphic(back, five_leaf_unrooted)
+
+
+def test_inverse_layout():
+    """r is attached in place: each vertex lists its parent, then its
+    children, and the root its children, then r.  The first leaf sits below
+    B, so the text is laid out from B and starts with its parent A."""
+    rooted = parse_newick("rooted", "((4,(1,2)C)B,3)A;")
+    assert tree_to_text(farris_inverse(rooted, "r")) == "unrooted\n((3,r)A,4,(1,2)C)B;\n"
 
 
 def test_rooted_star_inverse():

@@ -384,8 +384,8 @@ def random_pair_map(rng, i):
 
 def test_labelling_a_build_tree_cannot_fail():
     """Once triplets and BUILD succeed on a pair map, the labels read off
-    BUILD's tree reproduce the map; otherwise the triplet or BUILD stage
-    names the failure."""
+    BUILD's tree reproduce the map and the labelled tree is discriminating;
+    otherwise the triplet or BUILD stage names the failure."""
     from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
 
     rng = random.Random(6120)
@@ -395,6 +395,7 @@ def test_labelling_a_build_tree_cannot_fail():
         out = _tree_from_two_way(d2)
         if isinstance(out, LabelledTree):
             assert two_way_from_tree(out) == d2
+            assert is_discriminating(out)
             stages["built"] += 1
         else:
             stages[out.failure_stage] += 1

@@ -369,6 +369,36 @@ def test_collapse_fixpoint_is_discriminating(seed, n, flavor):
     assert set(out.leaf_order) == set(lt.leaf_order)
 
 
+def test_collapse_keeps_leaf_order_and_maps():
+    """Seeded non-discriminating trees of both flavors on 4 to 40 leaves:
+    the collapsed tree keeps the leaf order and the induced maps, and is
+    discriminating.  Unrooted trees are read back from their text, which
+    numbers a leaf vertex 0, so their walk starts at a leaf."""
+    from trisym import three_way_from_rooted, three_way_from_unrooted, two_way_from_tree
+
+    rng = random.Random(4040)
+    done = {ROOTED: 0, UNROOTED: 0}
+    while min(done.values()) < 30:
+        flavor = rng.choice((ROOTED, UNROOTED))
+        lt = random_labelled_tree(rng.randrange(10**9), rng.randint(4, 40), flavor,
+                                  symbol_names=("A", "B", "C")[:rng.randint(2, 3)])
+        if is_discriminating(lt):
+            continue
+        if flavor == UNROOTED:
+            lt = parse_tree(tree_to_text(lt))
+        out = collapse_to_discriminating(lt)
+        assert is_discriminating(out)
+        assert out.leaf_order == lt.leaf_order
+        assert out.tree.n_vertices < lt.tree.n_vertices
+        if flavor == ROOTED:
+            assert three_way_from_rooted(out) == three_way_from_rooted(lt)
+            assert two_way_from_tree(out) == two_way_from_tree(lt)
+        else:
+            assert lt.tree.is_leaf(0)
+            assert three_way_from_unrooted(out) == three_way_from_unrooted(lt)
+        done[flavor] += 1
+
+
 # -- displayed triplets ------------------------------------------------------------------
 
 def test_displayed_triplets_star():
