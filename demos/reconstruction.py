@@ -2,8 +2,9 @@
 verification.
 
 The decision procedures recover a pairwise map (for multiset maps, one
-five-point combination per pair), reduce it to three-leaf statements, and
-verify the candidate tree exactly; the final check matters, because a
+five-point combination per pair), split it on symbols into a candidate
+tree, and verify the candidate exactly.  The paper's route from three-leaf
+statements through BUILD stays public; the final check matters, because a
 consistent triplet set does not by itself certify representability.
 """
 

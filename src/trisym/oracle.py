@@ -62,6 +62,8 @@ class EnumerationSpec:
             raise EnumerationError(f"symbol sets of 1 to {MAX_SYMBOLS} symbols are supported")
         if self.flavor not in (ROOTED, UNROOTED):
             raise EnumerationError(f"unknown flavor {self.flavor!r}")
+        if self.flavor == ROOTED and len(self.leaves) < 2:
+            raise EnumerationError("rooted enumeration needs at least 2 leaves")
         if self.flavor == UNROOTED and len(self.leaves) < 3:
             raise EnumerationError("unrooted enumeration needs at least 3 leaves")
 

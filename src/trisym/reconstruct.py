@@ -1,22 +1,20 @@
-"""Triplet extraction, BUILD consistency, and tree reconstruction from maps.
+"""Tree reconstruction from maps, triplet extraction and BUILD.
 
-Both decision procedures reduce to a two-way map and then to three-leaf
-statements: extract the triplets a representing tree would have to
-display, run BUILD, read the interior labels off BUILD's tree, and verify
-the candidate exactly against the input.  Reading the labels cannot fail,
-so a two-way map fails only at triplet extraction or BUILD.  BUILD's
-labelled tree is already discriminating, so it is the candidate as built,
-with the projection leaf attached in place for tree-maps.  Plain-symbol
-maps get their two-way map by projecting through one leaf.  Multiset maps
-on five or more leaves recover each pair value from one five-point
-combination (conditions.pair_counts), in Theta(n^3) overall.  The final
-verification is mandatory: BUILD can return a tree even when the map is
-not representable.  The candidate's map is laid out over the input's own
-ground order, so the two compare as one tuple of values: a rooted
-candidate's leaf order already is that order, and an unrooted candidate's
-map is permuted into it while the reported tree keeps its own leaf order.
+Both decision procedures reduce to a two-way map D, split D on symbols
+into its discriminating labelled tree (_tree_from_two_way), and verify the
+candidate exactly against the input.  Plain-symbol maps get D by
+projecting through one leaf, which the candidate attaches in place.
+Multiset maps on five or more leaves recover each pair value from one
+five-point combination (conditions.pair_counts), in Theta(n^3) overall.
+The final verification is mandatory: D can have a tree while the input
+has none.  The candidate's map is laid out over the input's own ground
+order, so the two compare as one tuple of values: a rooted candidate's
+leaf order already is that order, and an unrooted candidate's map is
+permuted into it while the reported tree keeps its own leaf order.
 
-The triplet route for multiset maps (triplets_from_three_way,
+The paper's triplet route stays public: triplets_from_two_way and build
+give the split's tree, numbered alike, and name the failing stage where
+the split fails.  The route for multiset maps (triplets_from_three_way,
 recover_two_way, is_fixed_cherry_map) extracts triplets from the
 three-way values directly, by a Theta(n^4) witness search.  The decision
 procedure does not use it; it stays public as an independent view of the
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .conditions import (classify_quartet, counts_combination, counts_singleton,
                          pair_counts)
@@ -132,14 +130,11 @@ def build(triplets: Iterable[Triplet] | TripletSet,
 
     Each leaf set connects x,y for every triplet xy|z whose three leaves lie
     in it, splits into the connected components, and fails when it does not
-    split.  One child per component, in ground-set order of their first
-    leaves, so the result is the minimally resolved consistent tree.  The
-    leaf sets are taken from a stack in preorder, so vertices are numbered
-    as a recursive BUILD would number them.  Triplets are encoded once as
-    ground-set indices, and each set hands a triplet down only to the
-    component holding all three of its leaves; the others are resolved
-    there for good.  The total work is the sum of the set sizes, not the
-    depth times the number of triplets.
+    split, so the result is the minimally resolved consistent tree.
+    Triplets are encoded once as ground-set indices, and each set hands a
+    triplet down only to the component holding all three of its leaves;
+    the others are resolved there for good.  The total work is the sum of
+    the set sizes, not the depth times the number of triplets.
     """
     ground = tuple(ground)
     pos = {name: i for i, name in enumerate(ground)}
@@ -151,7 +146,6 @@ def build(triplets: Iterable[Triplet] | TripletSet,
             raise TreeError(f"triplet {t!r} uses names outside the ground set") from None
     if len(ground) < 2:
         raise TreeError("BUILD needs at least two leaves")
-    builder = TreeBuilder()
     uf = list(range(len(ground)))
     comp_of = [0] * len(ground)
 
@@ -161,43 +155,63 @@ def build(triplets: Iterable[Triplet] | TripletSet,
             a = uf[a]
         return a
 
+    def split(leaves: list[int], here: list) -> Optional[tuple]:
+        for a in leaves:
+            uf[a] = a
+        for a, b in {(a, b) for a, b, _ in here}:
+            uf[find(a)] = find(b)
+        comps: dict[int, list[int]] = {}
+        for a in leaves:
+            comps.setdefault(find(a), []).append(a)
+        if len(comps) == 1:
+            return None
+        # leaves are in ground order, so each component's first leaf is its
+        # smallest and the dict keeps the components in ground order
+        parts = list(comps.values())
+        below: list[list[tuple[int, int, int]]] = [[] for _ in parts]
+        for k, comp in enumerate(parts):
+            for a in comp:
+                comp_of[a] = k
+        for t in here:
+            k = comp_of[t[0]]
+            if comp_of[t[2]] == k:
+                below[k].append(t)
+        return None, list(zip(parts, below))
+
+    grown = _grow(ground, split, coded)
+    return None if grown is None else grown[0]
+
+
+def _grow(ground: tuple[str, ...], split: Callable, data) -> Optional[tuple[PhyloTree, dict]]:
+    """A rooted tree grown top-down from a task stack, with each interior
+    vertex's tag, or None when split(leaves, data) returns None for a set.
+    Otherwise split returns (tag, [(component, data), ...]) with the
+    components in ground order of their first leaves.  Sets come off the
+    stack in preorder, so vertices are numbered as a recursive construction
+    would number them; adjacency lists hold the children, then the parent.
+    """
+    builder = TreeBuilder()
     kids: list[list[int]] = []
-    tasks = [(-1, list(range(len(ground))), coded)]
+    tags = {}
+    tasks = [(-1, list(range(len(ground))), data)]
     while tasks:
-        up, leaves, here = tasks.pop()
+        up, leaves, data = tasks.pop()
         if len(leaves) == 1:
             v = builder.add_vertex(ground[leaves[0]])
         else:
-            for a in leaves:
-                uf[a] = a
-            for a, b in {(a, b) for a, b, _ in here}:
-                uf[find(a)] = find(b)
-            comps: dict[int, list[int]] = {}
-            for a in leaves:
-                comps.setdefault(find(a), []).append(a)
-            if len(comps) == 1:
+            got = split(leaves, data)
+            if got is None:
                 return None
-            # leaves are in ground order, so each component's first leaf is
-            # its smallest and the dict keeps the components in ground order
-            parts = list(comps.values())
-            below: list[list[tuple[int, int, int]]] = [[] for _ in parts]
-            for k, comp in enumerate(parts):
-                for a in comp:
-                    comp_of[a] = k
-            for t in here:
-                k = comp_of[t[0]]
-                if comp_of[t[2]] == k:
-                    below[k].append(t)
             v = builder.add_vertex()
-            tasks.extend((v, comp, sub) for comp, sub in zip(reversed(parts), reversed(below)))
+            tags[v], parts = got
+            tasks.extend((v, comp, sub) for comp, sub in reversed(parts))
         kids.append([])
         if up >= 0:
             kids[up].append(v)
-    # children first, then the parent, in every adjacency list
     for v in reversed(range(len(kids))):
         for w in kids[v]:
             builder.add_edge(v, w)
-    return builder.tree(ROOTED, root=0, leaf_order=ground)
+    return builder.tree(ROOTED, root=0, leaf_order=ground), tags
 
 
 # -- recovery of the two-way map ---------------------------------------------------
@@ -351,41 +365,61 @@ def _witnessed(d: ThreeWayMap, x: str, y: str, z: str) -> bool:
     return False
 
 
-# -- labelling ------------------------------------------------------------------------
+# -- the tree of a pair map ------------------------------------------------------------
 
 def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
-    """Triplets, BUILD and labelling of a two-way map: the labelled rooted
-    tree, or the negative outcome of the triplet or BUILD stage.
+    """The discriminating labelled rooted tree of a pair map D, split off
+    by symbols on BUILD's task stack; or the negative outcome of the
+    triplet or BUILD stage.
 
-    Labelling cannot fail once BUILD succeeds: all pairs with one lca carry
-    one value.  Leaves x, x' joined by a triplet have D(x,y) = D(x',y) for
-    every y in another component, or xy|x' or x'y|x would join y's
-    component; and a triple spread over three components is all-equal.  So
-    each interior label is read once, off BUILD's tree, whose leaf order is
-    the ground order of d2.
-
-    The labelled tree is discriminating, so no collapse follows.  D is its
-    lca map; take a vertex of D's discriminating tree with label s.  No
-    triplet joins leaves in two different children of that vertex: for x,
-    y in different children and z in x's child, D(y,z) = s = D(x,y).  And
-    inside a child c whose label t differs from s, two leaves under
-    different children of c are joined by xy|z for any z outside c.  So
-    each BUILD level splits its leaf set into exactly the children of that
-    vertex, and BUILD's tree is the discriminating tree.
+    A leaf set L tries the distinct values D(x, y), x its first leaf and y
+    in order, as its label s; the first s whose graph {xy : D(x,y) != s}
+    on L is disconnected labels the vertex, and the components are its
+    children.  Pairs across two components carry s, so a split that
+    completes yields a tree whose lca map is D.  If D has a tree with root
+    label s, s is the only symbol that splits L, since every other graph
+    holds the s-pairs, which join the root's children completely.  A
+    child's leaves are connected in the graph of s, so its label differs
+    from s: the tree is discriminating, hence BUILD's tree on D's triplets,
+    and numbered alike.  This is the cotree decomposition of symbolic
+    ultrametrics (Boecker & Dress 1998).  The split completes exactly when
+    D is one, that is, when D has no triple of three distinct values and
+    BUILD succeeds; so where it fails, the triplet route names the stage.
     """
-    try:
-        trips = triplets_from_two_way(d2)
-    except NotUltrametricError as err:
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
-                                     detail=str(err))
-    shape = build(trips, d2.ground)
-    if shape is None:
+    n = len(d2.ground)
+    table = [[""] * n for _ in range(n)]
+    for (i, j), v in zip(combinations(range(n), 2), d2.values):
+        table[i][j] = table[j][i] = v.name
+
+    def split(leaves: list[int], _) -> Optional[tuple]:
+        first = table[leaves[0]]
+        for s in dict.fromkeys([first[y] for y in leaves[1:]]):
+            parts, rest = [], leaves
+            while rest:
+                comp, rest = [rest[0]], rest[1:]
+                for a in comp:
+                    row = table[a]
+                    near = [b for b in rest if row[b] != s]
+                    if near:
+                        comp += near
+                        rest = [b for b in rest if row[b] == s]
+                parts.append((sorted(comp), None))
+            if len(parts) > 1:
+                return s, parts
+        return None
+
+    grown = _grow(d2.ground, split, None)
+    if grown is None:
+        try:
+            triplets_from_two_way(d2)
+        except NotUltrametricError as err:
+            return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
+                                         detail=str(err))
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
                                      detail="triplets are not displayed by any tree")
-    lca = shape.leaf_lca_table()
-    pairs = combinations(range(len(d2.ground)), 2)
-    return LabelledTree(shape, {lca[i][j]: v for (i, j), v in zip(pairs, d2.values)},
-                        d2.symbols)
+    shape, tags = grown
+    symbol = {v.name: v for v in d2.values}
+    return LabelledTree(shape, {v: symbol[s] for v, s in tags.items()}, d2.symbols)
 
 
 # -- decision procedures ------------------------------------------------------------------
@@ -425,11 +459,11 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
       1. pair recovery: one five-point combination per pair gives D(p,q); a
          combination that is not a single symbol fails at
          labelling-verification, as the map admits no pairwise labelling;
-      2. triplet extraction from the recovered pairwise map (a triple with
-         three distinct pair values fails here);
-      3. BUILD, whose tree then takes its labels from the recovered
-         pairwise map, a step that cannot fail, and is the discriminating
-         candidate;
+      2. the split of the recovered pairwise map on symbols, which gives
+         the discriminating candidate;
+      3. where the split fails, the triplet route names the stage: a triple
+         with three distinct pair values fails at triplet-extraction, any
+         other map at build;
       4. exact verification of the candidate against every triple of d
          (labelling-verification).
     Every representable verdict comes from the exact verification.  On four

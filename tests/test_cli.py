@@ -192,6 +192,13 @@ def test_census_json(capsys):
     assert payload["shapes"] == 4
 
 
+def test_census_rejects_one_rooted_leaf(capsys):
+    code, _, err = run(capsys, "census", "--leaves", "1", "--symbols", "2",
+                       "--flavor", "rooted")
+    assert code == 2
+    assert err == "error: rooted enumeration needs at least 2 leaves\n"
+
+
 def test_cross_validate_agreement(capsys, tmp_path, rooted_tree_file, bad_map_file):
     map_path = tmp_path / "map.tsv"
     run(capsys, "map-from-tree", rooted_tree_file, "-o", str(map_path))

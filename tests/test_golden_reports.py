@@ -4,9 +4,9 @@ Each case is the map of a random labelled tree (multiset maps from rooted
 trees, symbol maps from unrooted ones, 7-16 leaves) or a one-cell mutant of
 it.  Further cases fail inside the pair-map decision, at triplet extraction
 or BUILD: symbol maps changed in a triple that holds the projection leaf,
-and multiset maps assembled from random pair maps.  The sha256 of every `reconstruct` and `cross-validate` JSON report,
-with its exit code, must equal the digest recorded in
-tests/data/golden_reports.json.  A change that is meant to alter reports
+and multiset maps assembled from random pair maps.  The sha256 of every
+`reconstruct` and `cross-validate` JSON report, with its exit code, must
+equal the digest recorded in tests/data/golden_reports.json.  A change that is meant to alter reports
 regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py

@@ -201,6 +201,13 @@ def test_bounds_are_enforced(ab_table):
         EnumerationSpec(names(4), (), ROOTED, True)
 
 
+def test_one_leaf_is_too_few_for_either_flavor(ab_table):
+    with pytest.raises(EnumerationError, match="rooted enumeration needs at least 2 leaves"):
+        EnumerationSpec(names(1), tuple(ab_table), ROOTED, True)
+    with pytest.raises(EnumerationError, match="unrooted enumeration needs at least 3 leaves"):
+        EnumerationSpec(names(2), tuple(ab_table), UNROOTED, True)
+
+
 def test_census_counts(ab_table):
     spec = EnumerationSpec(names(4), tuple(ab_table), ROOTED, True)
     got = census(spec)

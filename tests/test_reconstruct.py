@@ -22,6 +22,7 @@ from trisym import (
     recover_two_way,
     three_way_from_rooted,
     three_way_from_unrooted,
+    tree_to_text,
     triplets_from_three_way,
     triplets_from_two_way,
     two_way_from_tree,
@@ -29,7 +30,7 @@ from trisym import (
 from trisym.reconstruct import STAGE_BUILD, STAGE_LABELS
 from trisym.trees import LabelledTree, ROOTED, TreeBuilder, TripletSet, UNROOTED
 
-from conftest import constant_multiset_map, multiset_map, pivot_leaf_map
+from conftest import caterpillar_text, constant_multiset_map, multiset_map, pivot_leaf_map
 from test_trees import random_labelled_tree, seeds
 
 
@@ -382,17 +383,53 @@ def random_pair_map(rng, i):
     return TwoWayMap(d2.ground, values, d2.symbols)
 
 
+def reference_tree_from_two_way(d2):
+    """The paper's route through a pair map, the reference for the
+    decision's symbol split: triplets, BUILD, and labels read off BUILD's
+    tree; or the negative outcome of the triplet or BUILD stage."""
+    from trisym.reconstruct import (NOT_REPRESENTABLE, STAGE_TRIPLETS,
+                                    ReconstructionOutcome)
+
+    try:
+        trips = triplets_from_two_way(d2)
+    except NotUltrametricError as err:
+        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
+                                     detail=str(err))
+    shape = build(trips, d2.ground)
+    if shape is None:
+        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
+                                     detail="triplets are not displayed by any tree")
+    lca = shape.leaf_lca_table()
+    pairs = combinations(range(len(d2.ground)), 2)
+    return LabelledTree(shape, {lca[i][j]: v for (i, j), v in zip(pairs, d2.values)},
+                        d2.symbols)
+
+
+def same_outcome(got, want):
+    """The two routes agree in tree layout, labels by name, failure stage
+    and detail."""
+    if isinstance(want, LabelledTree):
+        assert isinstance(got, LabelledTree), got
+        assert tree_to_text(got) == tree_to_text(want)
+        assert got.tree.adj == want.tree.adj and got.tree.root == want.tree.root
+        assert ({v: s.name for v, s in got.labels.items()}
+                == {v: s.name for v, s in want.labels.items()})
+    else:
+        assert not isinstance(got, LabelledTree), tree_to_text(got)
+        assert (got.failure_stage, got.detail) == (want.failure_stage, want.detail)
+
+
 def test_labelling_a_build_tree_cannot_fail():
     """Once triplets and BUILD succeed on a pair map, the labels read off
     BUILD's tree reproduce the map and the labelled tree is discriminating;
     otherwise the triplet or BUILD stage names the failure."""
-    from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
+    from trisym.reconstruct import STAGE_TRIPLETS
 
     rng = random.Random(6120)
     stages = {"built": 0, STAGE_TRIPLETS: 0, STAGE_BUILD: 0}
     for i in range(3200):
         d2 = random_pair_map(rng, i)
-        out = _tree_from_two_way(d2)
+        out = reference_tree_from_two_way(d2)
         if isinstance(out, LabelledTree):
             assert two_way_from_tree(out) == d2
             assert is_discriminating(out)
@@ -400,6 +437,47 @@ def test_labelling_a_build_tree_cannot_fail():
         else:
             stages[out.failure_stage] += 1
     assert min(stages.values()) > 100, stages
+
+
+def test_the_symbol_split_matches_triplets_and_build():
+    """The decision's split of a pair map gives the tree, vertex numbers,
+    adjacency and labels of the triplet route, and the same failing stage
+    and detail where it fails."""
+    from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
+
+    rng = random.Random(7311)
+    stages = {"built": 0, STAGE_TRIPLETS: 0, STAGE_BUILD: 0}
+    for i in range(3200):
+        d2 = random_pair_map(rng, i)
+        want = reference_tree_from_two_way(d2)
+        same_outcome(_tree_from_two_way(d2), want)
+        stages["built" if isinstance(want, LabelledTree) else want.failure_stage] += 1
+    assert min(stages.values()) > 100, stages
+
+
+def balanced_text(n):
+    """A balanced rooted binary tree on leaves 1..n, labelled A and B in
+    turn by depth, so that it is discriminating."""
+    def grow(lo, hi, depth):
+        if hi - lo == 1:
+            return str(lo)
+        mid = (lo + hi) // 2
+        return f"({grow(lo, mid, depth + 1)},{grow(mid, hi, depth + 1)}){'AB'[depth % 2]}"
+
+    return f"rooted\n{grow(1, n + 1, 0)};\n"
+
+
+@pytest.mark.parametrize("text", [caterpillar_text(64, ROOTED), caterpillar_text(97, ROOTED),
+                                  balanced_text(64), balanced_text(100)],
+                         ids=["caterpillar-64", "caterpillar-97", "balanced-64", "balanced-100"])
+def test_the_symbol_split_on_deep_and_wide_trees(text):
+    from trisym import parse_tree
+    from trisym.reconstruct import _tree_from_two_way
+
+    d2 = two_way_from_tree(parse_tree(text))
+    got = _tree_from_two_way(d2)
+    same_outcome(got, reference_tree_from_two_way(d2))
+    assert tree_to_text(got) == text
 
 
 # -- decision procedures -----------------------------------------------------------------------
