@@ -1,24 +1,25 @@
 """Tree reconstruction from maps, triplet extraction and BUILD.
 
-Both decision procedures reduce to a two-way map D, split D on symbols
-into its discriminating labelled tree (_tree_from_two_way), and verify the
-candidate exactly against the input.  Plain-symbol maps get D by
-projecting through one leaf, which the candidate attaches in place.
-Multiset maps on five or more leaves recover each pair value from one
-five-point combination (conditions.pair_counts), in Theta(n^3) overall.
-The final verification is mandatory: D can have a tree while the input
-has none.  The candidate's map is laid out over the input's own ground
-order, so the two compare as one tuple of values: a rooted candidate's
-leaf order already is that order, and an unrooted candidate's map is
-permuted into it while the reported tree keeps its own leaf order.
+Both decision procedures reduce to a two-way map D, build its
+discriminating labelled tree by BUILD's split of D on symbols
+(_tree_from_two_way), and verify the candidate exactly against the
+input.  Plain-symbol maps get D by projecting through one leaf, which the
+candidate attaches in place.  Multiset maps on five or more leaves
+recover each pair value from one five-point combination
+(conditions.pair_counts), in Theta(n^3) overall.  The final verification
+is mandatory: D can have a tree while the input has none.  The
+candidate's map is laid out over the input's own ground order, so the two
+compare as one tuple of values: a rooted candidate's leaf order already
+is that order, and an unrooted candidate's map is permuted into it while
+the reported tree keeps its own leaf order.
 
-The paper's triplet route stays public: triplets_from_two_way and build
-give the split's tree, numbered alike, and name the failing stage where
-the split fails.  The route for multiset maps (triplets_from_three_way,
-recover_two_way, is_fixed_cherry_map) extracts triplets from the
-three-way values directly, by a Theta(n^4) witness search.  The decision
-procedure does not use it; it stays public as an independent view of the
-same map.
+The paper's triplet route stays public: triplets_from_two_way lists D's
+triplets, on which build gives the same tree, numbered alike, and it
+names the failing stage where the split fails.  The route for multiset
+maps (triplets_from_three_way, recover_two_way, is_fixed_cherry_map)
+extracts triplets from the three-way values directly, by a Theta(n^4)
+witness search.  The decision procedure does not use it; it stays public
+as an independent view of the same map.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
 
 # -- BUILD ------------------------------------------------------------------------
 
-def build(triplets: Iterable[Triplet] | TripletSet,
+def build(triplets: Iterable[Triplet] | TripletSet | TwoWayMap,
           ground: Sequence[str]) -> Optional[PhyloTree]:
     """The BUILD consistency procedure: a rooted phylogenetic tree on the
     ground set displaying every input triplet, or None when none exists.
@@ -135,8 +136,14 @@ def build(triplets: Iterable[Triplet] | TripletSet,
     triplet down only to the component holding all three of its leaves;
     the others are resolved there for good.  The total work is the sum of
     the set sizes, not the depth times the number of triplets.
+
+    A pair map D stands for its triplets (xy|z where D(x,y) differs from
+    D(x,z) = D(y,z)) and is split on symbols without listing them; None
+    then also covers a triple of three distinct values.
     """
     ground = tuple(ground)
+    if isinstance(triplets, TwoWayMap):
+        return _grow(ground, _pair_map_split(triplets, ground), None)
     pos = {name: i for i, name in enumerate(ground)}
     coded = []
     for t in triplets:
@@ -176,23 +183,65 @@ def build(triplets: Iterable[Triplet] | TripletSet,
             k = comp_of[t[0]]
             if comp_of[t[2]] == k:
                 below[k].append(t)
-        return None, list(zip(parts, below))
+        return list(zip(parts, below))
 
-    grown = _grow(ground, split, coded)
-    return None if grown is None else grown[0]
+    return _grow(ground, split, coded)
 
 
-def _grow(ground: tuple[str, ...], split: Callable, data) -> Optional[tuple[PhyloTree, dict]]:
-    """A rooted tree grown top-down from a task stack, with each interior
-    vertex's tag, or None when split(leaves, data) returns None for a set.
-    Otherwise split returns (tag, [(component, data), ...]) with the
-    components in ground order of their first leaves.  Sets come off the
-    stack in preorder, so vertices are numbered as a recursive construction
-    would number them; adjacency lists hold the children, then the parent.
+def _pair_map_split(d: TwoWayMap, ground: tuple[str, ...]) -> Callable:
+    """BUILD's split of a leaf set for the triplets of a pair map D.
+
+    A leaf set L tries the distinct values D(x, y), x its first leaf and y
+    in order, as its label s; the first s whose graph {xy : D(x,y) != s}
+    on L is disconnected splits L into that graph's components.  Pairs
+    across two components carry s, so a split that completes yields a tree
+    whose lca map is D.  If D has a tree with root label s, s is the only
+    symbol that splits L, since every other graph holds the s-pairs, which
+    join the root's children completely.  A child's leaves are connected in
+    the graph of s, so its label differs from s: the tree is the
+    discriminating one, which BUILD gives on D's listed triplets too.  This
+    is the cotree decomposition of symbolic ultrametrics (Boecker & Dress
+    1998); it completes exactly when D is one.  Symbols compare by name.
+    """
+    n = len(ground)
+    if n < 2 or sorted(ground) != sorted(d.ground):
+        raise TreeError("BUILD needs a pair map on the ground set, of two or more leaves")
+    pos = {name: i for i, name in enumerate(ground)}
+    table = [[""] * n for _ in range(n)]
+    at = [pos[x] for x in d.ground]
+    for (i, j), v in zip(combinations(at, 2), d.values):
+        table[i][j] = table[j][i] = v.name
+
+    def split(leaves: list[int], _) -> Optional[list]:
+        first = table[leaves[0]]
+        for s in dict.fromkeys([first[y] for y in leaves[1:]]):
+            parts, rest = [], leaves
+            while rest:
+                comp, rest = [rest[0]], rest[1:]
+                for a in comp:
+                    row = table[a]
+                    near = [b for b in rest if row[b] != s]
+                    if near:
+                        comp += near
+                        rest = [b for b in rest if row[b] == s]
+                parts.append((sorted(comp), None))
+            if len(parts) > 1:
+                return parts
+        return None
+
+    return split
+
+
+def _grow(ground: tuple[str, ...], split: Callable, data) -> Optional[PhyloTree]:
+    """A rooted tree grown top-down from a task stack, or None when
+    split(leaves, data) returns None for a set.  Otherwise split returns
+    [(component, data), ...] with the components in ground order of their
+    first leaves.  Sets come off the stack in preorder, so vertices are
+    numbered as a recursive construction would number them; adjacency
+    lists hold the children, then the parent.
     """
     builder = TreeBuilder()
     kids: list[list[int]] = []
-    tags = {}
     tasks = [(-1, list(range(len(ground))), data)]
     while tasks:
         up, leaves, data = tasks.pop()
@@ -203,15 +252,14 @@ def _grow(ground: tuple[str, ...], split: Callable, data) -> Optional[tuple[Phyl
             if got is None:
                 return None
             v = builder.add_vertex()
-            tags[v], parts = got
-            tasks.extend((v, comp, sub) for comp, sub in reversed(parts))
+            tasks.extend((v, comp, sub) for comp, sub in reversed(got))
         kids.append([])
         if up >= 0:
             kids[up].append(v)
     for v in reversed(range(len(kids))):
         for w in kids[v]:
             builder.add_edge(v, w)
-    return builder.tree(ROOTED, root=0, leaf_order=ground), tags
+    return builder.tree(ROOTED, root=0, leaf_order=ground)
 
 
 # -- recovery of the two-way map ---------------------------------------------------
@@ -368,48 +416,13 @@ def _witnessed(d: ThreeWayMap, x: str, y: str, z: str) -> bool:
 # -- the tree of a pair map ------------------------------------------------------------
 
 def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
-    """The discriminating labelled rooted tree of a pair map D, split off
-    by symbols on BUILD's task stack; or the negative outcome of the
-    triplet or BUILD stage.
-
-    A leaf set L tries the distinct values D(x, y), x its first leaf and y
-    in order, as its label s; the first s whose graph {xy : D(x,y) != s}
-    on L is disconnected labels the vertex, and the components are its
-    children.  Pairs across two components carry s, so a split that
-    completes yields a tree whose lca map is D.  If D has a tree with root
-    label s, s is the only symbol that splits L, since every other graph
-    holds the s-pairs, which join the root's children completely.  A
-    child's leaves are connected in the graph of s, so its label differs
-    from s: the tree is discriminating, hence BUILD's tree on D's triplets,
-    and numbered alike.  This is the cotree decomposition of symbolic
-    ultrametrics (Boecker & Dress 1998).  The split completes exactly when
-    D is one, that is, when D has no triple of three distinct values and
-    BUILD succeeds; so where it fails, the triplet route names the stage.
-    """
-    n = len(d2.ground)
-    table = [[""] * n for _ in range(n)]
-    for (i, j), v in zip(combinations(range(n), 2), d2.values):
-        table[i][j] = table[j][i] = v.name
-
-    def split(leaves: list[int], _) -> Optional[tuple]:
-        first = table[leaves[0]]
-        for s in dict.fromkeys([first[y] for y in leaves[1:]]):
-            parts, rest = [], leaves
-            while rest:
-                comp, rest = [rest[0]], rest[1:]
-                for a in comp:
-                    row = table[a]
-                    near = [b for b in rest if row[b] != s]
-                    if near:
-                        comp += near
-                        rest = [b for b in rest if row[b] == s]
-                parts.append((sorted(comp), None))
-            if len(parts) > 1:
-                return s, parts
-        return None
-
-    grown = _grow(d2.ground, split, None)
-    if grown is None:
+    """The discriminating labelled rooted tree of a pair map D: BUILD on D
+    itself, each interior label read as D across its first two children;
+    or the negative outcome of the triplet or BUILD stage, which
+    triplets_from_two_way names where the split fails (the split completes
+    exactly when D is a symbolic ultrametric)."""
+    shape = build(d2, d2.ground)
+    if shape is None:
         try:
             triplets_from_two_way(d2)
         except NotUltrametricError as err:
@@ -417,9 +430,15 @@ def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
                                          detail=str(err))
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
                                      detail="triplets are not displayed by any tree")
-    shape, tags = grown
-    symbol = {v.name: v for v in d2.values}
-    return LabelledTree(shape, {v: symbol[s] for v, s in tags.items()}, d2.symbols)
+    # children are numbered after their parent: pass each first leaf up
+    first = dict(shape.leaf_name)
+    labels = {}
+    for v in reversed(range(len(shape.adj))):
+        kids = shape.children[v]
+        if kids:
+            first[v] = first[kids[0]]
+            labels[v] = d2.value(first[kids[0]], first[kids[1]])
+    return LabelledTree(shape, labels, d2.symbols)
 
 
 # -- decision procedures ------------------------------------------------------------------
@@ -459,8 +478,8 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
       1. pair recovery: one five-point combination per pair gives D(p,q); a
          combination that is not a single symbol fails at
          labelling-verification, as the map admits no pairwise labelling;
-      2. the split of the recovered pairwise map on symbols, which gives
-         the discriminating candidate;
+      2. BUILD on the recovered pairwise map, split on symbols without
+         listing its triplets, gives the discriminating candidate;
       3. where the split fails, the triplet route names the stage: a triple
          with three distinct pair values fails at triplet-extraction, any
          other map at build;

@@ -13,10 +13,10 @@ for the queries below.  Copies, and text and canonical codes laid out from
 another vertex, take a walk of their own.  All of them build their result
 bottom-up, over the walk read in reverse.
 
-The trees that parsing, copying, BUILD, the symbol split and the oracle
-make list, in each vertex's adjacency, its children in order and then its
-parent, as a recursive construction would, and all but the oracle number
-the vertices as that construction would.  farris_inverse and
+The trees that parsing, copying, BUILD and the oracle make list, in each
+vertex's adjacency, its children in order and then its parent, as a
+recursive construction would, and parsing, copying and BUILD number the
+vertices as that construction would.  farris_inverse and
 collapse_to_discriminating list the parent first, then the children.  The
 walk takes neighbours in adjacency order, so the text of such a tree keeps
 the order it was built in.

@@ -422,14 +422,17 @@ def same_outcome(got, want):
 def test_labelling_a_build_tree_cannot_fail():
     """Once triplets and BUILD succeed on a pair map, the labels read off
     BUILD's tree reproduce the map and the labelled tree is discriminating;
-    otherwise the triplet or BUILD stage names the failure."""
-    from trisym.reconstruct import STAGE_TRIPLETS
+    otherwise the triplet or BUILD stage names the failure.  The decision's
+    split of the map gives the same tree, vertex numbers, adjacency and
+    labels, or the same failing stage and detail."""
+    from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
 
     rng = random.Random(6120)
     stages = {"built": 0, STAGE_TRIPLETS: 0, STAGE_BUILD: 0}
     for i in range(3200):
         d2 = random_pair_map(rng, i)
         out = reference_tree_from_two_way(d2)
+        same_outcome(_tree_from_two_way(d2), out)
         if isinstance(out, LabelledTree):
             assert two_way_from_tree(out) == d2
             assert is_discriminating(out)
@@ -439,20 +442,19 @@ def test_labelling_a_build_tree_cannot_fail():
     assert min(stages.values()) > 100, stages
 
 
-def test_the_symbol_split_matches_triplets_and_build():
-    """The decision's split of a pair map gives the tree, vertex numbers,
-    adjacency and labels of the triplet route, and the same failing stage
-    and detail where it fails."""
-    from trisym.reconstruct import STAGE_TRIPLETS, _tree_from_two_way
+def test_build_on_a_pair_map_in_any_ground_order():
+    """BUILD given a pair map lays the tree out over the ground it is given,
+    as it does given the map's listed triplets, and refuses another leaf set."""
+    from trisym import parse_tree
+    from trisym.trees import TreeError
 
-    rng = random.Random(7311)
-    stages = {"built": 0, STAGE_TRIPLETS: 0, STAGE_BUILD: 0}
-    for i in range(3200):
-        d2 = random_pair_map(rng, i)
-        want = reference_tree_from_two_way(d2)
-        same_outcome(_tree_from_two_way(d2), want)
-        stages["built" if isinstance(want, LabelledTree) else want.failure_stage] += 1
-    assert min(stages.values()) > 100, stages
+    d2 = two_way_from_tree(parse_tree(balanced_text(9)))
+    for ground in (d2.ground, d2.ground[::-1]):
+        want = build(triplets_from_two_way(d2), ground)
+        got = build(d2, ground)
+        assert got.adj == want.adj and got.leaf_name == want.leaf_name
+    with pytest.raises(TreeError):
+        build(d2, d2.ground[1:])
 
 
 def balanced_text(n):
