@@ -9,6 +9,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,10 +71,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         violations = conditions.check_ultrametric(d)
     elif family == "M":
         d = _load_map(args.input, "symbol")
-        violations = conditions.check_tree_map(d)
+        violations = conditions.check_tree_map(d, near=reconstruct.near_tree(d))
     else:
         d = _load_map(args.input, "multiset")
-        violations = conditions.check_three_way_ultrametric(d)
+        violations = conditions.check_three_way_ultrametric(d, near=reconstruct.near_tree(d))
     if args.format == "json":
         report = json.dumps({"conditions": family,
                              "violations": [v.to_json() for v in violations]},
@@ -163,7 +164,10 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="trisym",
         description="Three-way symbolic maps on vertex-labelled phylogenetic trees.")

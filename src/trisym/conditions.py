@@ -14,6 +14,13 @@ Checkers report every violation with its witness subset rather than a bare
 boolean, so reports can be printed or serialized for diagnostics.  Subsets
 are scanned in lexicographic rank order over the ground set, which makes the
 first witness deterministic.
+
+The M and P checkers can be given a labelled tree T on the map's ground
+(near).  Every tree's map satisfies every condition on every subset, so a
+subset on which the map agrees with T's map holds no violation: only the
+subsets holding a triple of Delta, the triples where the two maps differ,
+are scanned, and the violations come out the same and in the same order.
+Any tree is sound; a tree close to the map makes Delta small.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations
-from typing import Callable, Iterator, Optional, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .maps import KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap, _rank_offsets
+from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
+                   _rank_offsets, three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, SymbolCombination, SymbolTable, TripleMultiset, parse_multiset
+from .trees import LabelledTree
 
 U1, U2, M1, M2, P1, P2, P3 = "U1", "U2", "M1", "M2", "P1", "P2", "P3"
 
@@ -92,21 +102,25 @@ def _u_violations(d: TwoWayMap) -> Iterator[Violation]:
 
 # -- plain-symbol three-way maps: M1 / M2 --------------------------------------
 
-def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None) -> list[Violation]:
+def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None,
+                   near: Optional[LabelledTree] = None) -> list[Violation]:
     """All M1/M2 violations, or the first stop_after of them; empty exactly
     when d is representable by median labels of an unrooted labelled tree
-    (ground set of size at least 4)."""
+    (ground set of size at least 4).  Given an unrooted labelled tree near
+    on d's ground, only the subsets where d differs from its map are
+    scanned, with the same result."""
     if d.kind != KIND_SYMBOL:
         raise MapError("M conditions apply to plain-symbol three-way maps")
     if len(d.ground) < 4:
         raise MapError("M conditions need a ground set of size at least 4")
-    return list(islice(_m_violations(d), stop_after or None))
+    return list(islice(_m_violations(d, _delta(d, near)), stop_after or None))
 
 
-def _m_violations(d: ThreeWayMap) -> Iterator[Violation]:
+def _m_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
     table, _ = _slot_codes(d)
     for kind, k, test in ((M1, 4, _m1_violation), (M2, 5, _m2_violation)):
-        for witness, detail in _scan(d, table, k, test):
+        for witness, detail in _scan(d, table, k, _subsets(len(d.ground), k, delta),
+                                     lambda s, _, test=test: test(d, s)):
             yield Violation(kind, witness, detail)
 
 
@@ -155,10 +169,42 @@ def _slot_codes(d: ThreeWayMap) -> tuple[list, list[int]]:
     return table, digits
 
 
-def _scan(d: ThreeWayMap, table: list, k: int, test: Callable,
+def _delta(d: ThreeWayMap, near: Optional[LabelledTree]) -> Optional[list[tuple]]:
+    """Delta: the position triples a < b < c, in combinations order, whose
+    value in d differs from the one in near's map laid out over d.ground;
+    None without near."""
+    if near is None:
+        return None
+    construct = three_way_from_rooted if d.kind == KIND_MULTISET else three_way_from_unrooted
+    values = construct(near, d.ground).values
+    return [s for s, a, b in zip(combinations(range(len(d.ground)), 3), d.values, values)
+            if a != b]
+
+
+def _subsets(n: int, k: int, delta: Optional[list[tuple]]) -> Iterable[tuple]:
+    """The k-subsets of range(n) to scan, in combinations order: those that
+    hold a triple of delta, or all of them without delta or where delta's
+    |delta| * C(n-3, k-3) subsets could number C(n, k) or more."""
+    if delta is None or len(delta) * comb(n - 3, k - 3) >= comb(n, k):
+        return combinations(range(n), k)
+    return _holding(n, k, delta)
+
+
+def _holding(n: int, k: int, delta: list[tuple]) -> list[tuple]:
+    """The k-subsets of range(n) that hold a triple of delta, in
+    combinations order."""
+    held = set()
+    for t in delta:
+        rest = [i for i in range(n) if i not in t]
+        held.update(tuple(sorted(t + r)) for r in combinations(rest, k - 3))
+    return sorted(held)
+
+
+def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple], test: Callable,
           clean: Optional[Callable[[tuple], bool]] = None) -> Iterator[tuple]:
-    """(subset, fault) for each k-subset of d.ground, in combinations order,
-    on which test(d, subset) returns a fault rather than None.
+    """(subset, fault) for each k-subset of d.ground among subsets (position
+    tuples in combinations order) on which test(subset, key) returns a
+    fault rather than None.
 
     test runs only where clean(key) fails.  Without clean, the keys of the
     subsets that came out clean are remembered for this scan, and a repeat
@@ -168,11 +214,11 @@ def _scan(d: ThreeWayMap, table: list, k: int, test: Callable,
     seen: set[tuple] = set()
     known = clean or seen.__contains__
     ground, triples = d.ground, _SUBSET_TRIPLES[k]
-    for s in combinations(range(len(ground)), k):
+    for s in subsets:
         key = tuple([table[s[i]][s[j]][s[m]] for i, j, m in triples])
         if not known(key):
             subset = tuple([ground[i] for i in s])
-            fault = test(d, subset)
+            fault = test(subset, key)
             if fault is None:
                 seen.add(key)
             else:
@@ -301,31 +347,39 @@ class FivePointSystem:
 
 # -- multiset three-way maps: P1 / P2 / P3 --------------------------------------
 
-def check_three_way_ultrametric(d: ThreeWayMap,
-                                stop_after: Optional[int] = None) -> list[Violation]:
+def check_three_way_ultrametric(d: ThreeWayMap, stop_after: Optional[int] = None,
+                                near: Optional[LabelledTree] = None) -> list[Violation]:
     """All P1/P2/P3 violations, or the first stop_after of them; empty
     exactly when d is representable by the pairwise lca-label multisets of
-    a rooted labelled tree (|X| >= 5)."""
+    a rooted labelled tree (|X| >= 5).  Given a rooted labelled tree near
+    on d's ground, only the subsets where d differs from its map are
+    scanned, with the same result."""
     if d.kind != KIND_MULTISET:
         raise MapError("P conditions apply to multiset three-way maps")
     if len(d.ground) < 5:
         raise MapError("P conditions need a ground set of size at least 5")
-    return list(islice(_p_violations(d), stop_after or None))
+    return list(islice(_p_violations(d, _delta(d, near)), stop_after or None))
 
 
-def _p_violations(d: ThreeWayMap) -> Iterator[Violation]:
+def _p_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
     table, digits = _slot_codes(d)
     singles = {6 * g for g in digits}
-    for five, pairs in _scan(d, table, 5, _p1_violations,
+    n = len(d.ground)
+    for five, pairs in _scan(d, table, 5, _subsets(n, 5, delta), _p1_details(d, singles),
                              lambda key: singles.issuperset(_pair_codes(key))):
         for detail in pairs:
             yield Violation(P1, five, detail)
 
-    for t, v in d.triples():
+    # a tree's value has at most two symbols, so every P2 witness is in delta
+    ground = d.ground
+    triples = d.triples() if delta is None else (
+        (t, d.value(*t)) for t in (tuple([ground[i] for i in s]) for s in delta))
+    for t, v in triples:
         if len(v.support) > 2:  # type: ignore[union-attr]
             yield Violation(P2, t, f"value {v.text()} has three distinct symbols")  # type: ignore[union-attr]
 
-    for quad, hit in _scan(d, table, 4, _p3_violation):
+    for quad, hit in _scan(d, table, 4, _subsets(n, 4, delta),
+                           lambda quad, _: _p3_violation(d, quad)):
         yield Violation(P3, quad, hit)
 
 
@@ -343,12 +397,32 @@ def _pair_codes(key: tuple) -> list[int]:
     return [3 * (key[i] + key[j] + key[k] + key[m]) - total for i, j, k, m in _PLUS_COLUMNS]
 
 
-def _p1_violations(d: ThreeWayMap, five: Sequence[str]) -> Iterator[str]:
-    for p, q in combinations(five, 2):
-        e, f, g = [n for n in five if n != p and n != q]
-        counts = pair_counts(d, p, q, e, f, g)
-        if not counts_are_valid(counts):
-            yield f"combination for pair ({p},{q}) is {counts_combination(counts).text()}"
+def _p1_details(d: ThreeWayMap, singles: set[int]) -> Callable:
+    """P1's test for _scan: the detail line of every pair of a 5-subset
+    whose packed code is not a single symbol's.  A code's digits, each in
+    [-18, 24], decode as balanced base-64 digits into the pair's counts,
+    and each distinct code's text is made once per scan."""
+    texts: dict[int, str] = {}
+    symbols: list[Symbol] = []
+
+    def text(code: int) -> str:
+        if code not in texts:
+            if not symbols:
+                symbols.extend(sorted(d.image_symbols(), key=lambda s: s.name))
+            counts, rest = {}, code
+            for s in symbols:
+                digit = (rest + 31) % 64 - 31
+                counts[s] = digit
+                rest = (rest - digit) >> 6
+            texts[code] = counts_combination(counts).text()
+        return texts[code]
+
+    def details(five: tuple[str, ...], key: tuple) -> list[str]:
+        return [f"combination for pair ({p},{q}) is {text(code)}"
+                for (p, q), code in zip(combinations(five, 2), _pair_codes(key))
+                if code not in singles]
+
+    return details
 
 
 def _p3_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:

@@ -191,6 +191,21 @@ def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
     return TwoWayMap(lt.leaf_order, values, lt.symbols)
 
 
+def _lca_table(lt: LabelledTree,
+               ground: Optional[Sequence[str]]) -> tuple[Sequence[str], list[list[int]]]:
+    """The tree's leaf-lca table with its ground order: the tree's leaf
+    order, or the given order (the tree's leaves, each once), over which
+    the table is then laid out."""
+    lca = lt.tree.leaf_lca_table()
+    if ground is None:
+        return lt.leaf_order, lca
+    at = dict(zip(lt.leaf_order, range(len(lca))))
+    order = [at.get(name, -1) for name in ground]
+    if sorted(order) != list(range(len(lca))):
+        raise MapError("the ground order must name each leaf of the tree once")
+    return ground, [[row[j] for j in order] for row in map(lca.__getitem__, order)]
+
+
 def three_way_from_unrooted(lt: LabelledTree,
                             ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = label of the median vertex, for an unrooted labelled
@@ -205,29 +220,24 @@ def three_way_from_unrooted(lt: LabelledTree,
     if len(lt.leaf_order) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
     label = _vertex_labels(lt)
-    lca = lt.tree.leaf_lca_table()
-    if ground is None:
-        ground = lt.leaf_order
-    else:
-        at = dict(zip(lt.leaf_order, range(len(lca))))
-        order = [at.get(name, -1) for name in ground]
-        if sorted(order) != list(range(len(lca))):
-            raise MapError("the ground order must name each leaf of the tree once")
-        lca = [[row[j] for j in order] for row in map(lca.__getitem__, order)]
+    ground, lca = _lca_table(lt, ground)
     # median_of, inlined: a call per triple took a quarter of the time
     values = [label[yz] if xy == xz else label[xz] if xy == yz else label[xy]
               for xy, xz, yz in table_triples(lca)]
     return ThreeWayMap(KIND_SYMBOL, ground, values, lt.symbols)
 
 
-def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
+def three_way_from_rooted(lt: LabelledTree,
+                          ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = multiset of the three pairwise lca labels, for a rooted
-    labelled tree.  One multiset is made per distinct triple of label names."""
+    labelled tree.  One multiset is made per distinct triple of label names.
+    A ground order lays the map out as in three_way_from_unrooted."""
     if lt.flavor != ROOTED:
         raise MapError("three_way_from_rooted needs a rooted labelled tree")
     symbol = {s.name: s for s in lt.labels.values()}
     name = [s.name if s is not None else "" for s in _vertex_labels(lt)]
-    names = [[name[v] for v in row] for row in lt.tree.leaf_lca_table()]
+    ground, lca = _lca_table(lt, ground)
+    names = [[name[v] for v in row] for row in lca]
     made: dict[tuple[str, str, str], TripleMultiset] = {}
     values = []
     for key in table_triples(names):
@@ -235,7 +245,7 @@ def three_way_from_rooted(lt: LabelledTree) -> ThreeWayMap:
         if v is None:
             v = made[key] = TripleMultiset.of(*(symbol[k] for k in key))
         values.append(v)
-    return ThreeWayMap(KIND_MULTISET, lt.leaf_order, values, lt.symbols)
+    return ThreeWayMap(KIND_MULTISET, ground, values, lt.symbols)
 
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:

@@ -310,19 +310,27 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
     return TwoWayMap(d.ground, values, d.symbols)
 
 
-def _recover_two_way_by_five_points(d: ThreeWayMap) -> TwoWayMap:
+def _recover_two_way_by_five_points(d: ThreeWayMap, rotate: bool = False) -> TwoWayMap:
     """Recover the pairwise map of a multiset map on |X| >= 5 with one
     five-point combination per pair: {p,q} plus the first three other
     ground leaves.  A representable map yields its true pair value from
     every 5-subset; a combination that is not a single symbol raises
     PairContradictionError, naming the pair, the 5-subset and the
-    combination."""
+    combination.  With rotate, such a pair first tries {p,q} plus each
+    later run of three consecutive other leaves, in ground order with
+    wrap-around, and takes the first single symbol."""
     ground = d.ground
     values = []
     for p, q in combinations(ground, 2):
         e, f, g = [n for n in ground[:5] if n != p and n != q][:3]
         counts = pair_counts(d, p, q, e, f, g)
         sym = counts_singleton(counts)
+        if sym is None and rotate:
+            others = [n for n in ground if n != p and n != q] * 2
+            for i in range(1, len(others) // 2):
+                sym = counts_singleton(pair_counts(d, p, q, *others[i:i + 3]))
+                if sym is not None:
+                    break
         if sym is None:
             five = [n for n in ground if n in (p, q, e, f, g)]
             raise PairContradictionError(
@@ -439,6 +447,31 @@ def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
             first[v] = first[kids[0]]
             labels[v] = d2.value(first[kids[0]], first[kids[1]])
     return LabelledTree(shape, labels, d2.symbols)
+
+
+def near_tree(d: ThreeWayMap) -> Optional[LabelledTree]:
+    """A labelled tree on d's ground built from d by the decision's own
+    stages without the final verification, or None where none is built:
+    for a symbol map (|X| >= 4) the projection through its first leaf, its
+    tree and that leaf attached back; for a multiset map (|X| >= 5) the
+    tree of the pair values recovered with rotating five-point windows.
+    On a representable map it is the map's tree; the condition checkers
+    take it as near to bound their scans."""
+    ground = d.ground
+    if d.kind == KIND_SYMBOL:
+        if len(ground) < 4:
+            return None
+        rooted = _tree_from_two_way(farris_project(d, ground[0]))
+        if isinstance(rooted, ReconstructionOutcome):
+            return None
+        return farris_inverse(rooted, ground[0])
+    if len(ground) < 5:
+        return None
+    try:
+        tree = _tree_from_two_way(_recover_two_way_by_five_points(d, rotate=True))
+    except PairContradictionError:
+        return None
+    return None if isinstance(tree, ReconstructionOutcome) else tree
 
 
 # -- decision procedures ------------------------------------------------------------------

@@ -367,3 +367,46 @@ def test_reports_do_not_depend_on_string_hashing(tmp_path, locally_consistent_ma
     assert outs[0].count("$ ") == len(runs)
     assert outs[0].count("oracle: ") == 4 and outs[0].count('"kind": "M1"') > 1
     assert outs[0] == outs[1]
+
+
+def test_the_cached_parser_answers_like_a_fresh_one(capsys, tmp_path, rooted_tree_file,
+                                                    unrooted_tree_file, bad_map_file):
+    """make_parser is built once per process; successive in-process calls
+    of different subcommands, bad arguments among them, give the stdout,
+    stderr and exit code of calls that each build a new parser."""
+    from trisym import cli
+
+    rooted_map, unrooted_map = str(tmp_path / "rooted.tsv"), str(tmp_path / "unrooted.tsv")
+    calls = [
+        ["map-from-tree", rooted_tree_file, "-o", rooted_map],
+        ["map-from-tree", unrooted_tree_file, "-o", unrooted_map],
+        ["check", rooted_map, "--conditions", "P"],
+        ["check", bad_map_file, "--conditions", "P", "--format", "json"],
+        ["check", unrooted_map, "--conditions", "M"],
+        ["reconstruct", bad_map_file, "--codomain", "multiset"],
+        ["reconstruct", unrooted_map, "--codomain", "symbol", "--format", "json"],
+        ["farris", unrooted_tree_file, "--leaf", "1"],
+        ["census", "--leaves", "4", "--symbols", "2", "--flavor", "rooted"],
+        ["cross-validate", rooted_map, "--codomain", "multiset"],
+        ["check", rooted_map],
+        ["census", "--leaves", "x", "--symbols", "2", "--flavor", "rooted"],
+        ["no-such-command"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli.make_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as err:
+                code = err.code
+            got = capsys.readouterr()
+            out.append((code, got.out, got.err))
+        return out
+
+    cached = answers(fresh=False)
+    assert cli.make_parser() is cli.make_parser()
+    assert cached == answers(fresh=True)
+    assert [code for code, _, _ in cached] == [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 2, 2, 2]
