@@ -117,7 +117,7 @@ def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None,
 
 
 def _m_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
-    table, _ = _slot_codes(d)
+    table = _slot_codes(d)[0] if delta != [] else []
     for kind, k, test in ((M1, 4, _m1_violation), (M2, 5, _m2_violation)):
         for witness, detail in _scan(d, table, k, _subsets(len(d.ground), k, delta),
                                      lambda s, _, test=test: test(d, s)):
@@ -154,14 +154,15 @@ _SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (4, 5)}
 
 def _slot_codes(d: ThreeWayMap) -> tuple[list, list[int]]:
     """The code of every slot as table[a][b][c] for positions a < b < c, and
-    the digit of each image symbol in name order."""
-    names = sorted({s.name for s in d.image_symbols()})
-    digits = [1 << 6 * i for i in range(len(names))]
-    digit = dict(zip(names, digits))
+    the digit of each image symbol in name order.  The checkers skip it
+    when Delta is empty, as no subset is then read."""
+    symbols = sorted(d.image_symbols(), key=lambda s: s.name)
+    digits = [1 << 6 * i for i in range(len(symbols))]
+    digit = dict(zip(symbols, digits))
     if d.kind == KIND_SYMBOL:
-        flat = [digit[v.name] for v in d.values]  # type: ignore[union-attr]
+        flat = [digit[v] for v in d.values]
     else:
-        flat = [sum(digit[s.name] for s in v.entries) for v in d.values]  # type: ignore[union-attr]
+        flat = [sum(digit[s] for s in v.entries) for v in d.values]  # type: ignore[union-attr]
     n = len(d.ground)
     first, second = _rank_offsets(n, 3)
     table = [[[0] * (b + 1) + flat[first[a] - second[b] + b + 1:first[a] - second[b] + n]
@@ -200,29 +201,27 @@ def _holding(n: int, k: int, delta: list[tuple]) -> list[tuple]:
     return sorted(held)
 
 
-def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple], test: Callable,
-          clean: Optional[Callable[[tuple], bool]] = None) -> Iterator[tuple]:
+def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple],
+          test: Callable) -> Iterator[tuple]:
     """(subset, fault) for each k-subset of d.ground among subsets (position
     tuples in combinations order) on which test(subset, key) returns a
-    fault rather than None.
+    fault: a detail, or a list of them, rather than None or [].
 
-    test runs only where clean(key) fails.  Without clean, the keys of the
-    subsets that came out clean are remembered for this scan, and a repeat
-    is skipped: every family's verdict depends only on the values at the
-    subset's rank positions.
+    The keys of the subsets that came out clean are remembered for this
+    scan, and a repeat is skipped: every family's verdict depends only on
+    the values at the subset's rank positions.
     """
     seen: set[tuple] = set()
-    known = clean or seen.__contains__
     ground, triples = d.ground, _SUBSET_TRIPLES[k]
     for s in subsets:
         key = tuple([table[s[i]][s[j]][s[m]] for i, j, m in triples])
-        if not known(key):
+        if key not in seen:
             subset = tuple([ground[i] for i in s])
             fault = test(subset, key)
-            if fault is None:
-                seen.add(key)
-            else:
+            if fault:
                 yield subset, fault
+            else:
+                seen.add(key)
 
 
 # -- the five-point linear system ----------------------------------------------
@@ -262,16 +261,14 @@ def pair_counts(d: ThreeWayMap, p: str, q: str, e: str, f: str, g: str) -> dict[
     plus = (value(p, q, e), value(p, q, f), value(p, q, g), value(e, f, g))
     minus = (value(p, e, f), value(p, e, g), value(p, f, g),
              value(q, e, f), value(q, e, g), value(q, f, g))
-    # Count by name: a str key hashes in C, a Symbol key calls Symbol.__hash__.
-    counts: dict[str, int] = {}
+    counts: dict[Symbol, int] = {}
     for v in plus:
         for s in v.entries:  # type: ignore[union-attr]
-            counts[s.name] = counts.get(s.name, 0) + 2
+            counts[s] = counts.get(s, 0) + 2
     for v in minus:
         for s in v.entries:  # type: ignore[union-attr]
-            counts[s.name] = counts.get(s.name, 0) - 1
-    named = {s.name: s for v in plus + minus for s in v.entries}  # type: ignore[union-attr]
-    return {named[n]: c for n, c in counts.items() if c}
+            counts[s] = counts.get(s, 0) - 1
+    return {s: c for s, c in counts.items() if c}
 
 
 def counts_are_valid(counts: dict[Symbol, int]) -> bool:
@@ -362,11 +359,10 @@ def check_three_way_ultrametric(d: ThreeWayMap, stop_after: Optional[int] = None
 
 
 def _p_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
-    table, digits = _slot_codes(d)
+    table, digits = _slot_codes(d) if delta != [] else ([], [])
     singles = {6 * g for g in digits}
     n = len(d.ground)
-    for five, pairs in _scan(d, table, 5, _subsets(n, 5, delta), _p1_details(d, singles),
-                             lambda key: singles.issuperset(_pair_codes(key))):
+    for five, pairs in _scan(d, table, 5, _subsets(n, 5, delta), _p1_details(d, singles)):
         for detail in pairs:
             yield Violation(P1, five, detail)
 

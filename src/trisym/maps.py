@@ -230,20 +230,18 @@ def three_way_from_unrooted(lt: LabelledTree,
 def three_way_from_rooted(lt: LabelledTree,
                           ground: Optional[Sequence[str]] = None) -> ThreeWayMap:
     """delta(x,y,z) = multiset of the three pairwise lca labels, for a rooted
-    labelled tree.  One multiset is made per distinct triple of label names.
+    labelled tree.  One multiset is made per distinct triple of labels.
     A ground order lays the map out as in three_way_from_unrooted."""
     if lt.flavor != ROOTED:
         raise MapError("three_way_from_rooted needs a rooted labelled tree")
-    symbol = {s.name: s for s in lt.labels.values()}
-    name = [s.name if s is not None else "" for s in _vertex_labels(lt)]
+    label = _vertex_labels(lt)
     ground, lca = _lca_table(lt, ground)
-    names = [[name[v] for v in row] for row in lca]
-    made: dict[tuple[str, str, str], TripleMultiset] = {}
+    made: dict[tuple[Symbol, Symbol, Symbol], TripleMultiset] = {}
     values = []
-    for key in table_triples(names):
+    for key in table_triples([[label[v] for v in row] for row in lca]):
         v = made.get(key)
         if v is None:
-            v = made[key] = TripleMultiset.of(*(symbol[k] for k in key))
+            v = made[key] = TripleMultiset(key)
         values.append(v)
     return ThreeWayMap(KIND_MULTISET, ground, values, lt.symbols)
 

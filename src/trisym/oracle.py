@@ -162,12 +162,9 @@ def _labellings(tree: PhyloTree, symbols: Sequence[Symbol],
 
 def enumerate_labelled_trees(spec: EnumerationSpec) -> Iterator[LabelledTree]:
     """Stream every labelled tree matching the spec, each exactly once."""
-    table = SymbolTable()
-    for sym in spec.symbols:
-        table.intern(sym.name)
-    syms = [table.intern(s.name) for s in spec.symbols]
+    table = SymbolTable(s.name for s in spec.symbols)
     for shape in enumerate_shapes(spec.flavor, spec.leaves):
-        for labels in _labellings(shape, syms, spec.discriminating_only):
+        for labels in _labellings(shape, spec.symbols, spec.discriminating_only):
             yield LabelledTree(shape, labels, table)
 
 
@@ -209,30 +206,30 @@ def _scan_shapes(flavor: str, n: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _slot_names(d: ThreeWayMap) -> Optional[list[str]]:
-    """The label name each slot must carry: the value (symbol maps), or the
+def _slot_labels(d: ThreeWayMap) -> Optional[list[Symbol]]:
+    """The label each slot must carry: the value (symbol maps), or the
     majority then the minority entry (multiset maps); None when some value
     has three distinct entries, which no rooted tree induces."""
     if d.kind == KIND_SYMBOL:
-        return [v.name for v in d.values]  # type: ignore[union-attr]
-    names = []
+        return list(d.values)  # type: ignore[arg-type]
+    labels = []
     for v in d.values:
         major = v.majority  # type: ignore[union-attr]
         if major is None:
             return None
-        names += (major.name, v.minority.name)  # type: ignore[union-attr]
-    return names
+        labels += (major, v.minority)  # type: ignore[union-attr]
+    return labels
 
 
-def _equal_pairs(names: Sequence[str]) -> int:
-    """The mask of the slot pairs i < j with names[i] == names[j], with the
-    bit of each pair at j(j-1)/2 + i."""
+def _equal_pairs(labels: Sequence[Symbol]) -> int:
+    """The mask of the slot pairs i < j with labels[i] == labels[j], with
+    the bit of each pair at j(j-1)/2 + i."""
     mask = 0
-    before: dict[str, int] = {}  # name -> the bits of the slots so far with it
-    for j, name in enumerate(names):
-        same = before.get(name, 0)
+    before: dict[Symbol, int] = {}  # label -> the bits of the slots so far with it
+    for j, label in enumerate(labels):
+        same = before.get(label, 0)
         mask |= same << (j * (j - 1) // 2)
-        before[name] = same | 1 << j
+        before[label] = same | 1 << j
     return mask
 
 
@@ -248,7 +245,7 @@ def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
     pairwise lcas carries the value's majority entry and the deepest its
     minority entry.  So each shape admits at most one matching labelling:
     the one read off d, which matches exactly when every two slots on one
-    vertex carry one name.  The search scans the shapes in order, tests
+    vertex carry one label.  The search scans the shapes in order, tests
     that for all of a shape's triples at once, as one mask inclusion, reads
     the labels off the first shape that passes, and skips it when the
     labelling is not discriminating.  The shapes and their masks are built
@@ -261,8 +258,7 @@ def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
         raise EnumerationError(f"ground sets up to {MAX_LEAVES} are supported")
     if flavor == UNROOTED and len(d.ground) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
-    image = {s.name: s for s in d.image_symbols()}
-    want = _slot_names(d)
+    want = _slot_labels(d)
     if want is None:
         return None
     unequal = ~_equal_pairs(want)
@@ -275,8 +271,7 @@ def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
         tree = PhyloTree(flavor, shape.adj,
                          {v: d.ground[int(i)] for v, i in shape.leaf_name.items()},
                          root=shape.root, leaf_order=d.ground)
-        return LabelledTree(tree, {v: image[label[v]] for v in tree.interior_vertices()},
-                            d.symbols)
+        return LabelledTree(tree, label, d.symbols)
     return None
 
 

@@ -9,9 +9,7 @@ recover each pair value from one five-point combination
 (conditions.pair_counts), in Theta(n^3) overall.  The final verification
 is mandatory: D can have a tree while the input has none.  The
 candidate's map is laid out over the input's own ground order, so the two
-compare as one tuple of values: a rooted candidate's leaf order already
-is that order, and an unrooted candidate's map is permuted into it while
-the reported tree keeps its own leaf order.
+compare as one tuple of values.
 
 The paper's triplet route stays public: triplets_from_two_way lists D's
 triplets, on which build gives the same tree, numbered alike, and it
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .conditions import (classify_quartet, counts_combination, counts_singleton,
+from .conditions import (_delta, classify_quartet, counts_combination, counts_singleton,
                          pair_counts)
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    farris_project, three_way_from_rooted, three_way_from_unrooted)
@@ -103,10 +101,9 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
     NotUltrametricError."""
     ground = d.ground
     n = len(ground)
-    # symbols are equal exactly when their names are, and names compare in C
-    table: list[list[str]] = [[""] * n for _ in range(n)]
+    table: list[list[Optional[Symbol]]] = [[None] * n for _ in range(n)]
     for (i, j), v in zip(combinations(range(n), 2), d.values):
-        table[i][j] = v.name
+        table[i][j] = v
     found = set()
     for (x, y, z), (vxy, vxz, vyz) in zip(combinations(ground, 3), table_triples(table)):
         if vxy == vxz == vyz:
@@ -201,16 +198,16 @@ def _pair_map_split(d: TwoWayMap, ground: tuple[str, ...]) -> Callable:
     the graph of s, so its label differs from s: the tree is the
     discriminating one, which BUILD gives on D's listed triplets too.  This
     is the cotree decomposition of symbolic ultrametrics (Boecker & Dress
-    1998); it completes exactly when D is one.  Symbols compare by name.
+    1998); it completes exactly when D is one.
     """
     n = len(ground)
     if n < 2 or sorted(ground) != sorted(d.ground):
         raise TreeError("BUILD needs a pair map on the ground set, of two or more leaves")
     pos = {name: i for i, name in enumerate(ground)}
-    table = [[""] * n for _ in range(n)]
+    table: list[list[Optional[Symbol]]] = [[None] * n for _ in range(n)]
     at = [pos[x] for x in d.ground]
     for (i, j), v in zip(combinations(at, 2), d.values):
-        table[i][j] = table[j][i] = v.name
+        table[i][j] = table[j][i] = v
 
     def split(leaves: list[int], _) -> Optional[list]:
         first = table[leaves[0]]
@@ -449,29 +446,64 @@ def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
     return LabelledTree(shape, labels, d2.symbols)
 
 
-def near_tree(d: ThreeWayMap) -> Optional[LabelledTree]:
-    """A labelled tree on d's ground built from d by the decision's own
-    stages without the final verification, or None where none is built:
-    for a symbol map (|X| >= 4) the projection through its first leaf, its
-    tree and that leaf attached back; for a multiset map (|X| >= 5) the
-    tree of the pair values recovered with rotating five-point windows.
-    On a representable map it is the map's tree; the condition checkers
-    take it as near to bound their scans."""
-    ground = d.ground
+def _candidate(d: ThreeWayMap, r: Optional[str],
+               rotate: bool = False) -> LabelledTree | ReconstructionOutcome:
+    """The decision's stages before the final verification: d's unverified
+    candidate tree, or the outcome of the stage that fails.  A symbol map
+    (|X| >= 4) is projected through leaf r and r attached back to the
+    projection's tree; a multiset map (|X| >= 5) gets the tree of its pair
+    values, recovered with rotating windows when rotate is set."""
     if d.kind == KIND_SYMBOL:
-        if len(ground) < 4:
-            return None
-        rooted = _tree_from_two_way(farris_project(d, ground[0]))
+        rooted = _tree_from_two_way(farris_project(d, r))  # type: ignore[arg-type]
         if isinstance(rooted, ReconstructionOutcome):
-            return None
-        return farris_inverse(rooted, ground[0])
-    if len(ground) < 5:
-        return None
+            return rooted
+        return farris_inverse(rooted, r)  # type: ignore[arg-type]
     try:
-        tree = _tree_from_two_way(_recover_two_way_by_five_points(d, rotate=True))
-    except PairContradictionError:
-        return None
-    return None if isinstance(tree, ReconstructionOutcome) else tree
+        pairwise = _recover_two_way_by_five_points(d, rotate)
+    except PairContradictionError as err:
+        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
+                                     detail=str(err))
+    return _tree_from_two_way(pairwise)
+
+
+def _verified(d: ThreeWayMap,
+              candidate: LabelledTree | ReconstructionOutcome) -> ReconstructionOutcome:
+    """The verdict on a candidate: representable exactly when its map,
+    laid out over d.ground, is d.  The candidate keeps its own leaf order,
+    which tree_to_text starts from."""
+    if isinstance(candidate, ReconstructionOutcome):
+        return candidate
+    construct = three_way_from_rooted if d.kind == KIND_MULTISET else three_way_from_unrooted
+    if construct(candidate, d.ground) == d:
+        return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
+    return ReconstructionOutcome(
+        NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
+        detail="candidate tree does not reproduce the map on all triples")
+
+
+def near_tree(d: ThreeWayMap) -> Optional[LabelledTree]:
+    """A labelled tree on d's ground built by the decision's own stages
+    without the final verification, or None where none is built; on a
+    representable map, the map's tree.  The condition checkers take it as
+    near to bound their scans by Delta, the triples where d differs from
+    its map.  A multiset map (|X| >= 5) gets the candidate of rotating
+    five-point windows.  A symbol map (|X| >= 4) gets the candidate through
+    the first of its first four leaves whose Delta has at most one triple,
+    which no other tree beats, or else the one with the smallest Delta: a
+    one-cell change holds three leaves, so one projection avoids it."""
+    if d.kind == KIND_MULTISET:
+        tree = _candidate(d, None, rotate=True) if len(d.ground) >= 5 else None
+        return tree if isinstance(tree, LabelledTree) else None
+    best, fewest = None, 0
+    for r in d.ground[:4] if len(d.ground) >= 4 else ():
+        tree = _candidate(d, r)
+        if isinstance(tree, LabelledTree):
+            differ = len(_delta(d, tree))
+            if best is None or differ < fewest:
+                best, fewest = tree, differ
+            if differ <= 1:
+                break
+    return best
 
 
 # -- decision procedures ------------------------------------------------------------------
@@ -488,19 +520,7 @@ def decide_tree_map(d: ThreeWayMap, r: Optional[str] = None) -> ReconstructionOu
         raise MapError("decide_tree_map applies to plain-symbol maps")
     if len(d.ground) < 4:
         raise MapError("decide_tree_map needs a ground set of size at least 4")
-    if r is None:
-        r = d.ground[0]
-    rooted = _tree_from_two_way(farris_project(d, r))
-    if isinstance(rooted, ReconstructionOutcome):
-        return rooted
-    candidate = farris_inverse(rooted, r)
-    # the candidate's map is laid out over d.ground, so == compares one tuple;
-    # the candidate keeps its own leaf order, which tree_to_text starts from
-    if three_way_from_unrooted(candidate, d.ground) == d:
-        return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
-    return ReconstructionOutcome(
-        NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-        detail="candidate tree does not reproduce the map on all triples")
+    return _verified(d, _candidate(d, d.ground[0] if r is None else r))
 
 
 def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
@@ -527,19 +547,7 @@ def decide_ultrametric(d: ThreeWayMap) -> ReconstructionOutcome:
         raise MapError("decide_ultrametric needs a ground set of size at least 4")
     if len(d.ground) == 4:
         return _decide_four_leaves(d)
-    try:
-        pairwise = _recover_two_way_by_five_points(d)
-    except PairContradictionError as err:
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-                                     detail=str(err))
-    candidate = _tree_from_two_way(pairwise)
-    if isinstance(candidate, ReconstructionOutcome):
-        return candidate
-    if three_way_from_rooted(candidate) == d:
-        return ReconstructionOutcome(REPRESENTABLE, tree=candidate, unique=True)
-    return ReconstructionOutcome(
-        NOT_REPRESENTABLE, failure_stage=STAGE_LABELS,
-        detail="candidate tree does not reproduce the map on all triples")
+    return _verified(d, _candidate(d, None))
 
 
 def _decide_four_leaves(d: ThreeWayMap) -> ReconstructionOutcome:
@@ -547,7 +555,7 @@ def _decide_four_leaves(d: ThreeWayMap) -> ReconstructionOutcome:
     # the one pattern with multiple discriminating representations.
     from .oracle import oracle_representable_three_way
 
-    if len({s.name for s in d.image_symbols()}) > 3:
+    if len(d.image_symbols()) > 3:
         # four-leaf shapes have at most three interior vertices
         return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
                                      detail="more image symbols than interior vertices")

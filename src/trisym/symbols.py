@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TERM_RE = re.compile(r"(\d*)([A-Za-z][A-Za-z0-9_]*)")
@@ -18,19 +18,22 @@ class SymbolError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """A label from the alphabet, interned in a SymbolTable.
-
-    Equality and hashing go by display name, so symbols interned in
-    different tables compare equal when they mean the same label.
+    """A label from the alphabet, one object per name in the process:
+    Symbol(name), every table, copying and pickling give the registered
+    object, so equality and hashing are object identity.
     """
 
     name: str
+    _registry: ClassVar[dict[str, "Symbol"]] = {}
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Symbol) and self.name == other.name
+    def __new__(cls, name: str) -> "Symbol":
+        # named before it is published, so no thread can see a bare object
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "name", name)
+        return cls._registry.setdefault(name, sym)
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __reduce__(self) -> tuple:
+        return Symbol, (self.name,)
 
     def __repr__(self) -> str:
         return f"Symbol({self.name})"
@@ -197,12 +200,10 @@ class SymbolCombination:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolCombination):
             return NotImplemented
-        return {s.name: c for s, c in self._coeffs.items()} == {
-            s.name: c for s, c in other._coeffs.items()
-        }
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset((s.name, c) for s, c in self._coeffs.items()))
+        return hash(frozenset(self._coeffs.items()))
 
     def text(self) -> str:
         if not self._coeffs:

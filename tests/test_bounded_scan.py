@@ -203,3 +203,27 @@ def test_near_tree_rotates_past_a_failed_window():
         f"pair ({first[0]},{first[1]}): combination over ")
     assert three_way_from_rooted(near_tree(d), d.ground) == clean
     assert conditions._delta(d, near_tree(d)) == [(2, 3, 4)]
+
+
+@pytest.mark.parametrize("leaves", [16, 32])
+def test_near_tree_projects_around_a_cell_that_holds_the_first_leaf(
+        monkeypatch, capsys, tmp_path, leaves):
+    """The cell is the triple of the first three ground leaves, so the
+    projection through the first leaf sees the change.  A one-cell change
+    holds three leaves, so one of the first four avoids it: near_tree
+    projects through that one and builds the clean map's tree, and check
+    visits only the 5-subsets that hold the cell."""
+    clean = three_way_from_unrooted(_tree(leaves, leaves, KIND_SYMBOL, 3, True))
+    values = list(clean.values)
+    values[0] = next(v for v in _alphabet(KIND_SYMBOL, clean.symbols) if v != values[0])
+    d = ThreeWayMap(KIND_SYMBOL, clean.ground, values, clean.symbols)
+    near = near_tree(d)
+    assert near is not None
+    assert three_way_from_unrooted(near, d.ground) == clean
+    assert conditions._delta(d, near) == [(0, 1, 2)]
+    path = tmp_path / "map.tsv"
+    path.write_text(save_three_way_map(d))
+    visits, _ = _recording(monkeypatch)
+    assert main(["check", str(path), "--conditions", "M"]) == 1
+    assert capsys.readouterr().out.startswith("M1 at (")
+    assert dict(visits)[5] <= comb(leaves - 3, 2)
