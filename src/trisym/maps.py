@@ -6,17 +6,17 @@ deterministic.  Maps are total by construction; partial data is a load-time
 error, not a representable state.  Each map keeps a position for every
 ground name; value() sorts the positions of its names and reads the slot at
 their closed-form lexicographic rank, so no lookup builds a key.  The
-loaders write each row into its slot by the same rank and parse each
-distinct value text once.
+loaders read a saved-form text by columns and any other row by row into
+rank slots, with the same maps and messages either way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, count, filterfalse, islice
 from math import comb
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .symbols import Symbol, SymbolTable, TripleMultiset, parse_multiset
 from .trees import LabelledTree, ROOTED, UNROOTED, TreeError, _LEAF_RE, table_triples
@@ -138,9 +138,8 @@ class ThreeWayMap(_TotalMap):
         self.kind = kind
         super().__init__(ground, values, symbols)
         want = Symbol if kind == KIND_SYMBOL else TripleMultiset
-        for v in self.values:
-            if not isinstance(v, want):
-                raise MapError(f"value {v!r} does not match codomain kind {kind!r}")
+        for v in filterfalse(want.__instancecheck__, self.values):  # the first bad value
+            raise MapError(f"value {v!r} does not match codomain kind {kind!r}")
 
     @classmethod
     def from_triples(cls, kind: str, ground: Sequence[str],
@@ -317,23 +316,57 @@ def _rows(text: str, header: list[str], what: str) -> tuple[list[list[str]], lis
     return rows, ground
 
 
+def _saved_text(header: list[str], ground: Sequence[str], texts: Iterable[str]) -> str:
+    """The saved form: the header line, then one row per k-subset of the
+    ground in combinations order, ending in its value text, with single
+    spaces between words and a newline after every row."""
+    rows = map(" ".join, map(add, combinations(ground, len(header) - 1), zip(texts)))
+    return "\n".join(chain([" ".join(header)], rows)) + "\n"
+
+
+def _saved_columns(text: str, header: list[str],
+                   parse: Callable[[str], Value]) -> Optional[tuple[list[str], list]]:
+    """The ground set and values of a saved-form text, read by columns, or
+    None for any other text.  The ground is the first row's leading k-1
+    names and the last key column of the n-k+1 rows that share them; it
+    must be n distinct leaf names that, saved with the value column, give
+    the text back.  Value texts are parsed in order of first appearance."""
+    if not text.startswith(" ".join(header) + "\n"):
+        return None
+    k = len(header) - 1
+    rows = text.count("\n") - 1
+    n = next(m for m in count(3) if comb(m, k) >= rows)
+    words = text.split(None, (k + 1) * (n - k + 2))  # through the rows that give the ground
+    ground = words[k + 1:2 * k] + words[2 * k::k + 1][:n - k + 1]
+    if comb(n, k) != rows or len(set(ground)) != n or not all(map(_LEAF_RE.fullmatch, ground)):
+        return None
+    values = text.split()[2 * k + 1::k + 1]
+    if text != _saved_text(header, ground, values):
+        return None
+    parsed = {raw: parse(raw) for raw in dict.fromkeys(values)}
+    return ground, list(map(parsed.__getitem__, values))
+
+
 def load_three_way_map(text: str, kind: str,
                        symbols: Optional[SymbolTable] = None) -> ThreeWayMap:
     """Load the TSV form: a 'x y z value' header then one row per 3-subset.
 
-    The ground-set order is the order of first appearance.  Rows are read in
-    one pass: each row's value goes straight into the slot at its triple's
-    rank, and each distinct value text is parsed once, so values spelled
-    alike are one object.  A filled slot is a duplicate row; after the pass, the
-    first empty slot in combinations order is the missing row.  The first
-    fault in file order is the one reported.
+    The ground-set order is the order of first appearance.  A saved-form
+    text is read by columns, any other in one pass that puts each row's value
+    in the slot at its triple's rank; each distinct value text is parsed once,
+    so values spelled alike are one object.  A filled slot is a duplicate row;
+    after the pass, the first empty slot in combinations order is the missing
+    row.  The first fault in file order is the one reported.
     """
     table = symbols if symbols is not None else SymbolTable()
+    parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
+    saved = _saved_columns(text, ["x", "y", "z", "value"], parse)
+    if saved is not None:
+        return ThreeWayMap(kind, *saved, table)
     rows, ground = _rows(text, ["x", "y", "z", "value"], "three-way")
     pos = dict(zip(ground, range(len(ground))))
     first, second = _rank_offsets(len(ground), 3)
     slots: list[Optional[Value]] = [None] * comb(len(ground), 3)
-    parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
     parsed: dict[str, Value] = {}
     for x, y, z, raw in rows:
         a, b, c = pos[x], pos[y], pos[z]
@@ -359,17 +392,18 @@ def load_three_way_map(text: str, kind: str,
 
 
 def save_three_way_map(d: ThreeWayMap) -> str:
-    lines = ["x y z value"]
-    for (x, y, z), v in d.triples():
-        val = v.text() if d.kind == KIND_MULTISET else v.name  # type: ignore[union-attr]
-        lines.append(f"{x} {y} {z} {val}")
-    return "\n".join(lines) + "\n"
+    texts = [v.text() if d.kind == KIND_MULTISET else v.name  # type: ignore[union-attr]
+             for v in d.values]
+    return _saved_text(["x", "y", "z", "value"], d.ground, texts)
 
 
 def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWayMap:
     """Load the TSV form: a 'x y value' header then one row per 2-subset,
-    read in one pass into rank slots as load_three_way_map reads triples."""
+    read by columns or in one pass as load_three_way_map reads triples."""
     table = symbols if symbols is not None else SymbolTable()
+    saved = _saved_columns(text, ["x", "y", "value"], table.intern)
+    if saved is not None:
+        return TwoWayMap(*saved, table)
     rows, ground = _rows(text, ["x", "y", "value"], "two-way")
     pos = dict(zip(ground, range(len(ground))))
     first, = _rank_offsets(len(ground), 2)
@@ -389,7 +423,4 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
 
 
 def save_two_way_map(d: TwoWayMap) -> str:
-    lines = ["x y value"]
-    for (x, y), v in d.pairs():
-        lines.append(f"{x} {y} {v.name}")
-    return "\n".join(lines) + "\n"
+    return _saved_text(["x", "y", "value"], d.ground, [v.name for v in d.values])

@@ -3,6 +3,8 @@ files, and what they accept around the rows: comments, blank lines and
 free whitespace.  When a file has several faults, the message names the one
 the loader meets first."""
 
+from itertools import combinations
+
 import pytest
 
 from trisym import KIND_MULTISET, KIND_SYMBOL, MapError, load_three_way_map, load_two_way_map
@@ -49,6 +51,22 @@ THREE_WAY_CASES = [
       KIND_MULTISET: (SymbolError, "multiset term '0A' in '0A+3B' has count 0")}),
     ("header only", "",
      (MapError, "three-way maps need a ground set of size at least 3")),
+    # near the saved form, which is read by columns: each must reach the row pass
+    ("ragged rows with the saved word stream", "1 2 3\n{v} 1 2 4 {v}\n1 3 4 {v}\n2 3 4 {v}\n",
+     (MapError, "line 2: expected 4 columns, got 3")),
+    ("saved form whose first row repeats a name", "1 1 2 {v}\n1 1 3 {v}\n1 2 3 {v}\n1 2 3 {v}\n",
+     (MapError, "triple (1,1,2) repeats a name")),
+    ("saved form whose key-column run repeats the first name",
+     "1 2 3 {v}\n1 2 1 {v}\n1 3 1 {v}\n2 3 1 {v}\n",
+     (MapError, "triple (1,2,1) repeats a name")),
+    ("saved form with a bad leaf name", "1 2 3 {v}\n1 2 a(b {v}\n1 3 a(b {v}\n2 3 a(b {v}\n",
+     (MapError, "bad leaf name 'a(b'")),
+    ("saved form with bad values", "1 2 3 {v}\n1 2 4 {bad}\n1 3 4 {w}\n2 3 4 {zero}\n",
+     {KIND_SYMBOL: (SymbolError, "bad symbol name '1A'"),
+      KIND_MULTISET: (SymbolError, "bad multiset term '' in 'A+'")}),
+    ("saved form without its last row",
+     "".join(f"{x} {y} {z} {{v}}\n" for x, y, z in list(combinations("12345", 3))[:-1]),
+     (MapError, "missing value for triple ['3', '4', '5']")),
 ]
 
 
@@ -110,6 +128,17 @@ TWO_WAY_CASES = [
     ("zero count", "1 2 0A\n", SymbolError, "bad symbol name '0A'"),
     ("two leaves", "1 2 A\n", MapError, "two-way maps need a ground set of size at least 3"),
     ("header only", "", MapError, "two-way maps need a ground set of size at least 3"),
+    ("ragged rows with the saved word stream", "1 2\nA 1 3 A\n2 3 A\n",
+     MapError, "line 2: expected 3 columns, got 2"),
+    ("saved form whose first row repeats a name", "1 1 A\n1 2 A\n1 2 A\n",
+     MapError, "pair (1,1) repeats a name"),
+    ("saved form whose key-column run repeats the first name", "1 2 A\n1 1 A\n2 1 A\n",
+     MapError, "pair (1,1) repeats a name"),
+    ("saved form with a bad leaf name", "1 2 A\n1 x:y A\n2 x:y A\n",
+     MapError, "bad leaf name 'x:y'"),
+    ("saved form with bad values", "1 2 A\n1 3 1A\n2 3 0A\n", SymbolError, "bad symbol name '1A'"),
+    ("saved form without its last row", "1 2 A\n1 3 A\n1 4 A\n2 3 A\n2 4 A\n",
+     MapError, "missing value for pair ['3', '4']"),
 ]
 
 
@@ -132,3 +161,14 @@ def test_two_way_header_message_and_comments():
     d = load_two_way_map("# pairs\n x y value\n\n3 1 A\n  # gap\n3\t2 B\n1 2 A \n")
     assert d.ground == ("3", "1", "2")
     assert [d.value(*p).name for p in ("31", "32", "12")] == ["A", "B", "A"]
+
+
+@pytest.mark.parametrize("kind", [KIND_SYMBOL, KIND_MULTISET])
+def test_a_saved_text_without_its_final_newline_loads_alike(kind):
+    t = TOKENS[kind]
+    rows = "".join(f"{x} {y} {z} {t['vw'[int(z) % 2]]}\n"
+                   for x, y, z in combinations("1234", 3))
+    saved = load_three_way_map(THREE_WAY_HEADER + rows, kind)
+    assert load_three_way_map(THREE_WAY_HEADER + rows[:-1], kind) == saved
+    pairs = "1 2 A\n1 3 B\n2 3 A\n"
+    assert load_two_way_map(TWO_WAY_HEADER + pairs[:-1]) == load_two_way_map(TWO_WAY_HEADER + pairs)

@@ -10,6 +10,7 @@ from trisym import (
     MapError,
     SymbolTable,
     ThreeWayMap,
+    TripleMultiset,
     TwoWayMap,
     collapse_to_discriminating,
     farris_project,
@@ -225,3 +226,17 @@ def test_a_duplicate_row_is_reported_before_its_own_bad_value(kind, bad):
         load_three_way_map(f"x y z value\n1 2 3 {good}\n3 2 1 {bad}\n", kind)
     with pytest.raises(MapError, match=r"^duplicate row for pair \(2,1\)$"):
         load_two_way_map("x y value\n1 2 A\n2 1 1A\n")
+
+
+@pytest.mark.parametrize("kind, other", [(KIND_SYMBOL, KIND_MULTISET), (KIND_SYMBOL, None),
+                                         (KIND_MULTISET, KIND_SYMBOL), (KIND_MULTISET, None)])
+def test_the_first_value_of_another_kind_is_named(kind, other):
+    table = SymbolTable(["A", "B"])
+    a, b = table
+    of_kind = {KIND_SYMBOL: (a, b), KIND_MULTISET: (TripleMultiset.of(a, a, b),
+                                                    TripleMultiset.of(a, b, b)), None: (None,)}
+    good = of_kind[kind][0]
+    values = [good, good, *of_kind[other], good][:4]  # the bad values after good ones
+    with pytest.raises(MapError) as info:
+        ThreeWayMap(kind, "1234", values, table)
+    assert str(info.value) == f"value {of_kind[other][0]!r} does not match codomain kind {kind!r}"
