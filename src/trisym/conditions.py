@@ -152,22 +152,28 @@ def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
 _SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (4, 5)}
 
 
+def _value_codes(d: ThreeWayMap) -> tuple[list[int], dict[Symbol, int]]:
+    """The code of every slot of d in combinations order, and the digit of
+    each image symbol, in name order.  Each distinct value is coded once."""
+    image = set(d.values)
+    plain = d.kind == KIND_SYMBOL
+    symbols = image if plain else {s for v in image for s in v.entries}  # type: ignore[union-attr]
+    digit = {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
+    code = digit if plain else {v: sum(map(digit.__getitem__, v.entries))  # type: ignore[union-attr]
+                                for v in image}
+    return list(map(code.__getitem__, d.values)), digit
+
+
 def _slot_codes(d: ThreeWayMap) -> tuple[list, list[int]]:
     """The code of every slot as table[a][b][c] for positions a < b < c, and
     the digit of each image symbol in name order.  The checkers skip it
     when Delta is empty, as no subset is then read."""
-    symbols = sorted(d.image_symbols(), key=lambda s: s.name)
-    digits = [1 << 6 * i for i in range(len(symbols))]
-    digit = dict(zip(symbols, digits))
-    if d.kind == KIND_SYMBOL:
-        flat = [digit[v] for v in d.values]
-    else:
-        flat = [sum(digit[s] for s in v.entries) for v in d.values]  # type: ignore[union-attr]
+    flat, digits = _value_codes(d)
     n = len(d.ground)
     first, second = _rank_offsets(n, 3)
     table = [[[0] * (b + 1) + flat[first[a] - second[b] + b + 1:first[a] - second[b] + n]
               if b > a else None for b in range(n)] for a in range(n)]
-    return table, digits
+    return table, list(digits.values())
 
 
 def _delta(d: ThreeWayMap, near: Optional[LabelledTree]) -> Optional[list[tuple]]:

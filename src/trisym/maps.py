@@ -169,7 +169,7 @@ class ThreeWayMap(_TotalMap):
         if self.kind == KIND_SYMBOL:
             return set(self.values)  # type: ignore[arg-type]
         out: set[Symbol] = set()
-        for v in self.values:
+        for v in set(self.values):
             out.update(v.entries)  # type: ignore[union-attr]
         return out
 
@@ -392,9 +392,9 @@ def load_three_way_map(text: str, kind: str,
 
 
 def save_three_way_map(d: ThreeWayMap) -> str:
-    texts = [v.text() if d.kind == KIND_MULTISET else v.name  # type: ignore[union-attr]
-             for v in d.values]
-    return _saved_text(["x", "y", "z", "value"], d.ground, texts)
+    texts = {v: v.text() if d.kind == KIND_MULTISET else v.name  # type: ignore[union-attr]
+             for v in set(d.values)}
+    return _saved_text(["x", "y", "z", "value"], d.ground, map(texts.__getitem__, d.values))
 
 
 def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWayMap:

@@ -5,8 +5,8 @@ discriminating labelled tree by BUILD's split of D on symbols
 (_tree_from_two_way), and verify the candidate exactly against the
 input.  Plain-symbol maps get D by projecting through one leaf, which the
 candidate attaches in place.  Multiset maps on five or more leaves
-recover each pair value from one five-point combination
-(conditions.pair_counts), in Theta(n^3) overall.  The final verification
+recover each pair value from one five-point combination summed over the
+map's integer slot codes, in Theta(n^2) lookups.  The final verification
 is mandatory: D can have a tree while the input has none.  The
 candidate's map is laid out over the input's own ground order, so the two
 compare as one tuple of values.
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .conditions import (_delta, classify_quartet, counts_combination, counts_singleton,
-                         pair_counts)
+from .conditions import _delta, _value_codes, classify_quartet, counts_combination, pair_counts
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
-                   farris_project, three_way_from_rooted, three_way_from_unrooted)
+                   _rank_offsets, farris_project, three_way_from_rooted,
+                   three_way_from_unrooted)
 from .symbols import Symbol, TripleMultiset
 # displayed_triplets and collapse_to_discriminating are not called here; they
 # stay importable from this module, where callers look them up as attributes.
@@ -315,25 +315,48 @@ def _recover_two_way_by_five_points(d: ThreeWayMap, rotate: bool = False) -> Two
     PairContradictionError, naming the pair, the 5-subset and the
     combination.  With rotate, such a pair first tries {p,q} plus each
     later run of three consecutive other leaves, in ground order with
-    wrap-around, and takes the first single symbol."""
-    ground = d.ground
-    values = []
-    for p, q in combinations(ground, 2):
-        e, f, g = [n for n in ground[:5] if n != p and n != q][:3]
-        counts = pair_counts(d, p, q, e, f, g)
-        sym = counts_singleton(counts)
+    wrap-around, and takes the first single symbol.
+
+    Each combination is pair_counts packed into one integer over d's slot
+    codes, a single symbol exactly when it is 6 times that symbol's digit.
+    Pairs off the first three positions share the window (0, 1, 2): each
+    leaf holds one sum over it, and a row's pairs read three slot runs."""
+    ground, n = d.ground, len(d.ground)
+    codes, digits = _value_codes(d)
+    single = {6 * g: s for s, g in digits.items()}
+    first, second = _rank_offsets(n, 3)
+
+    def run(a: int, b: int) -> list[int]:  # the codes of (a, b, c), c > b
+        return codes[first[a] - second[b] + b + 1:first[a] - second[b] + n]
+
+    def code(p: int, q: int, e: int, f: int, g: int) -> int:
+        c = [codes[first[x] - second[y] + z] for x, y, z in map(sorted, (
+            (p, q, e), (p, q, f), (p, q, g), (e, f, g),
+            (p, e, f), (p, e, g), (p, f, g), (q, e, f), (q, e, g), (q, f, g)))]
+        return 2 * sum(c[:4]) - sum(c[4:])
+
+    codes_of = [code(a, b, *[x for x in range(5) if x != a and x != b][:3])
+                for a in range(3) for b in range(a + 1, n)]
+    window = [x + y + z for x, y, z in zip(run(0, 1)[1:], run(0, 2), run(1, 2))]
+    for a in range(3, n):
+        base = 2 * codes[0] - window[a - 3]
+        codes_of += [2 * (x + y + z) + base - w for x, y, z, w in
+                     zip(run(0, a), run(1, a), run(2, a), window[a - 2:])]
+    values = list(map(single.get, codes_of))
+    for k, ((i, j), sym) in enumerate(zip(combinations(range(n), 2), values)):
         if sym is None and rotate:
-            others = [n for n in ground if n != p and n != q] * 2
-            for i in range(1, len(others) // 2):
-                sym = counts_singleton(pair_counts(d, p, q, *others[i:i + 3]))
-                if sym is not None:
-                    break
+            others = [x for x in range(n) if x != i and x != j] * 2
+            windows = (others[m:m + 3] for m in range(1, len(others) // 2))
+            sym = values[k] = next(filter(None, (single.get(code(i, j, *w)) for w in windows)),
+                                   None)
         if sym is None:
-            five = [n for n in ground if n in (p, q, e, f, g)]
+            p, q = ground[i], ground[j]
+            e, f, g = [x for x in ground[:5] if x != p and x != q][:3]
+            counts = pair_counts(d, p, q, e, f, g)
+            five = [x for x in ground if x in (p, q, e, f, g)]
             raise PairContradictionError(
                 (p, q), f"combination over ({','.join(five)}) is "
                         f"{counts_combination(counts).text()}, not a single symbol")
-        values.append(sym)
     return TwoWayMap(ground, values, d.symbols)
 
 

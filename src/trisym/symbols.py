@@ -69,21 +69,31 @@ class SymbolTable:
         return name in self._by_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TripleMultiset:
-    """A multiset of exactly three symbols, stored in name order.
-
-    The constructor sorts the entries, so the stored tuple is the canonical
-    form and the dataclass's own equality and hashing compare multisets
-    structurally, also across tables.
+    """A multiset of exactly three symbols, stored in name order, one object
+    per multiset in the process: TripleMultiset(entries) in any entry order,
+    every table, copying and pickling give the registered object, so
+    equality and hashing are object identity.
     """
 
     entries: tuple[Symbol, Symbol, Symbol]
+    _registry: ClassVar[dict[tuple, "TripleMultiset"]] = {}
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != 3:
-            raise SymbolError("a TripleMultiset has exactly three entries")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda s: s.name)))
+    def __new__(cls, entries: Iterable[Symbol]) -> "TripleMultiset":
+        entries = tuple(sorted(entries, key=lambda s: s.name))
+        ms = cls._registry.get(entries)
+        if ms is None:
+            if len(entries) != 3:
+                raise SymbolError("a TripleMultiset has exactly three entries")
+            # filled before it is published, so no thread can see a bare object
+            ms = object.__new__(cls)
+            object.__setattr__(ms, "entries", entries)
+            ms = cls._registry.setdefault(entries, ms)
+        return ms
+
+    def __reduce__(self) -> tuple:
+        return TripleMultiset, (self.entries,)
 
     @classmethod
     def of(cls, a: Symbol, b: Symbol, c: Symbol) -> "TripleMultiset":
