@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,6 +65,26 @@ def cmd_map_from_tree(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# One violation of check's JSON report: kind, witness names, detail.
+_VIOLATION_JSON = ('    {{\n      "kind": {},\n      "witness": [\n        {}\n      ],\n'
+                   '      "detail": {}\n    }}')
+
+
+def check_report_json(family: str, violations: Sequence[conditions.Violation]) -> str:
+    """check's JSON report: the text of json.dumps({"conditions": family,
+    "violations": [{"kind", "witness", "detail"} per violation]}, indent=2)
+    plus a newline.  json.dumps with an indent encodes in pure Python; here
+    each violation is one format call, and strings are escaped by the C
+    function json.dumps uses under ensure_ascii.  Witnesses are never empty."""
+    items = ",\n".join([
+        _VIOLATION_JSON.format(_json_string(v.kind),
+                               ",\n        ".join(map(_json_string, v.witness)),
+                               _json_string(v.detail))
+        for v in violations])
+    body = f"[\n{items}\n  ]" if items else "[]"
+    return f'{{\n  "conditions": {_json_string(family)},\n  "violations": {body}\n}}\n'
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     family = args.conditions
     if family == "U":
@@ -76,9 +97,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         d = _load_map(args.input, "multiset")
         violations = conditions.check_three_way_ultrametric(d, near=reconstruct.near_tree(d))
     if args.format == "json":
-        report = json.dumps({"conditions": family,
-                             "violations": [v.to_json() for v in violations]},
-                            indent=2) + "\n"
+        report = check_report_json(family, violations)
     else:
         lines = [v.text() for v in violations] or ["clean"]
         report = "\n".join(lines) + "\n"

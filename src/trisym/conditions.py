@@ -51,9 +51,6 @@ class Violation:
     def text(self) -> str:
         return f"{self.kind} at ({','.join(self.witness)}): {self.detail}"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "witness": list(self.witness), "detail": self.detail}
-
 
 # -- pattern helpers -----------------------------------------------------------
 
@@ -380,8 +377,7 @@ def _p_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Viol
         if len(v.support) > 2:  # type: ignore[union-attr]
             yield Violation(P2, t, f"value {v.text()} has three distinct symbols")  # type: ignore[union-attr]
 
-    for quad, hit in _scan(d, table, 4, _subsets(n, 4, delta),
-                           lambda quad, _: _p3_violation(d, quad)):
+    for quad, hit in _scan(d, table, 4, _subsets(n, 4, delta), _p3_detail(d, digits)):
         yield Violation(P3, quad, hit)
 
 
@@ -425,6 +421,32 @@ def _p1_details(d: ThreeWayMap, singles: set[int]) -> Callable:
                 if code not in singles]
 
     return details
+
+
+def _p3_detail(d: ThreeWayMap, digits: list[int]) -> Callable:
+    """P3's test for _scan: _p3_violation's detail for a 4-subset whose key
+    shows a violation, else None.  One shows exactly when a split of the
+    four triple codes into two pairs has equal codes within each pair and
+    two majority digits that both exist and differ (so the pairs' codes
+    differ); each distinct code's majority digit, 0 for none, is decoded
+    once per scan."""
+    majors: dict[int, int] = {}
+
+    def major(code: int) -> int:
+        if code not in majors:
+            majors[code] = next((g for g in digits if code // g % 64 >= 2), 0)
+        return majors[code]
+
+    def detail(quad: tuple[str, ...], key: tuple) -> Optional[str]:
+        a, b, c, e = key
+        for p, q, r, s in ((a, b, c, e), (a, c, b, e), (a, e, b, c)):
+            if p == q and r == s:
+                mp, mr = major(p), major(r)
+                if mp and mr and mp != mr:
+                    return _p3_violation(d, quad)
+        return None
+
+    return detail
 
 
 def _p3_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TERM_RE = re.compile(r"(\d*)([A-Za-z][A-Za-z0-9_]*)")
+_TERM_RE = re.compile(r"([0-9]*)([A-Za-z][A-Za-z0-9_]*)")
 
 
 class SymbolError(ValueError):
@@ -136,7 +136,10 @@ def parse_multiset(text: str, table: SymbolTable) -> TripleMultiset:
         m = _TERM_RE.fullmatch(term)
         if not m:
             raise SymbolError(f"bad multiset term {term!r} in {text!r}")
-        count = int(m.group(1)) if m.group(1) else 1
+        digits = m.group(1).lstrip("0")
+        if len(digits) > 1:  # refused before int() or a list of that length
+            raise SymbolError(f"multiset term {term!r} in {text!r} has a count of 10 or more")
+        count = int(digits or "0") if m.group(1) else 1
         if count == 0:
             raise SymbolError(f"multiset term {term!r} in {text!r} has count 0")
         entries.extend([table.intern(m.group(2))] * count)

@@ -261,6 +261,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["10A", "1000000000000000000000A", "1" * 5000 + "A",
+                                   "\u0663A"], ids=["10", "1e21", "5000 digits", "non-ASCII"])
+def test_multiset_counts_beyond_one_digit_exit_2(capsys, tmp_path, value):
+    p = tmp_path / "count.tsv"
+    p.write_text(f"x y z value\n1 2 3 {value}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p), "--conditions", "P")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/file.tsv", "--conditions", "P")
     assert code == 2

@@ -11,7 +11,7 @@ what the reference returned when it stopped early.
 import random
 import string
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from trisym import (
     three_way_from_two_way,
     three_way_from_unrooted,
 )
+from trisym import conditions
 from trisym.conditions import (
     M1, M2, P1, P2, P3, PAIR_OF_TRIPLES_NUMERATORS, TRIPLE_OF_PAIRS, Violation, _pair_codes,
     _pi_pattern, _p3_violation, _slot_codes, counts_are_valid, counts_combination, pair_counts,
@@ -230,3 +231,22 @@ def test_the_row_test_is_exact_where_narrower_digits_would_alias(abc_table):
     got = check_three_way_ultrametric(d)
     assert got == reference_check_three_way_ultrametric(d)
     assert got[0].detail.startswith("combination for pair (1,2) is ")
+
+
+def test_the_p3_code_test_is_exact_on_every_four_leaf_map(monkeypatch, abc_table):
+    """Every assignment of the ten multisets over A,B,C to the four triples
+    of a 4-leaf map: P3's code test calls _p3_violation exactly when the
+    reference finds a violation."""
+    alphabet = multiset_alphabet(abc_table)
+    assert len(alphabet) == 10
+    quad = ("1", "2", "3", "4")
+    monkeypatch.setattr(conditions, "_p3_violation", lambda d, quad: "hit")
+    hits = 0
+    for values in product(alphabet, repeat=4):
+        d = ThreeWayMap(KIND_MULTISET, quad, values, abc_table)
+        table, digits = _slot_codes(d)
+        key = tuple(table[a][b][c] for a, b, c in combinations(range(4), 3))
+        want = _p3_violation(d, quad) is not None
+        assert (conditions._p3_detail(d, digits)(quad, key) == "hit") == want, values
+        hits += want
+    assert 0 < hits < 10 ** 4

@@ -67,6 +67,27 @@ THREE_WAY_CASES = [
     ("saved form without its last row",
      "".join(f"{x} {y} {z} {{v}}\n" for x, y, z in list(combinations("12345", 3))[:-1]),
      (MapError, "missing value for triple ['3', '4', '5']")),
+    # multiset counts are one ASCII digit after any leading zeros, refused
+    # before a count is converted or a list of its length is built; each
+    # value is read once in the saved form and once, after a tab, by the row pass
+    *[(f"{case}{path}", f"1 2 3{sep}{value}\n",
+       {KIND_SYMBOL: (SymbolError, f"bad symbol name {value!r}"),
+        KIND_MULTISET: (SymbolError, message.format(repr(value)))})
+      for case, value, message in [
+          ("count of 10", "10A", "multiset term {0} in {0} has a count of 10 or more"),
+          ("count of 99", "99A", "multiset term {0} in {0} has a count of 10 or more"),
+          ("count beyond a machine word", "1000000000000000000000A",
+           "multiset term {0} in {0} has a count of 10 or more"),
+          ("count of 5,000 digits", "1" * 5000 + "A",
+           "multiset term {0} in {0} has a count of 10 or more"),
+          ("count of 10 after leading zeros", "0010A",
+           "multiset term {0} in {0} has a count of 10 or more"),
+          ("non-ASCII digit", "\u0663A", "bad multiset term {0} in {0}"),
+          ("count of 4", "4A", "multiset {0} has 4 entries, expected 3"),
+          ("count of 9", "9A", "multiset {0} has 9 entries, expected 3"),
+          ("count of 0 after leading zeros", "000A", "multiset term {0} in {0} has count 0"),
+      ]
+      for path, sep in ((" in the saved form", " "), (" in the row pass", "\t"))],
 ]
 
 
