@@ -81,12 +81,10 @@ def check_ultrametric(d: TwoWayMap, stop_after: Optional[int] = None) -> list[Vi
 
 
 def _u_violations(d: TwoWayMap) -> Iterator[Violation]:
-    for x, y, z in combinations(d.ground, 3):
-        vals = (d.value(x, y), d.value(x, z), d.value(y, z))
-        if len(set(vals)) == 3:
-            yield Violation(
-                U1, (x, y, z),
-                f"three pairwise distinct values {vals[0].name},{vals[1].name},{vals[2].name}")
+    for names, (xy, xz, yz) in d.triples():
+        if xy != xz != yz != xy:
+            yield Violation(U1, names,
+                            f"three pairwise distinct values {xy.name},{xz.name},{yz.name}")
     for quad in combinations(d.ground, 4):
         hit = _pi_pattern(d.value, quad)
         if hit is not None:

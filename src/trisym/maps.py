@@ -120,6 +120,16 @@ class TwoWayMap(_TotalMap):
 
     pairs = _TotalMap._items
 
+    def triples(self) -> Iterator[tuple[tuple[str, ...], tuple[Symbol, Symbol, Symbol]]]:
+        """((x, y, z), (D(x,y), D(x,z), D(y,z))) for every 3-subset, in
+        combinations order, read off one upper-triangle table of the values
+        as a tree's three pairwise lcas are read off its lca table."""
+        n = len(self.ground)
+        first, = self._offsets
+        table = [[None] * (i + 1) + list(self.values[first[i] + i + 1:first[i] + n])
+                 for i in range(n)]
+        return zip(combinations(self.ground, 3), table_triples(table))
+
     def image_symbols(self) -> set[Symbol]:
         return set(self.values)
 
@@ -247,10 +257,7 @@ def three_way_from_rooted(lt: LabelledTree,
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:
     """Assemble delta(x,y,z) = {D(x,y), D(x,z), D(y,z)} from a two-way map."""
-    values = [
-        TripleMultiset.of(d.value(x, y), d.value(x, z), d.value(y, z))
-        for x, y, z in combinations(d.ground, 3)
-    ]
+    values = [TripleMultiset(vals) for _, vals in d.triples()]
     return ThreeWayMap(KIND_MULTISET, d.ground, values, d.symbols)
 
 

@@ -35,7 +35,7 @@ from .symbols import Symbol, TripleMultiset
 # stay importable from this module, where callers look them up as attributes.
 from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, TreeError, Triplet,
                     TripletSet, collapse_to_discriminating, displayed_triplets,
-                    table_triples)
+                    triplets_of)
 from .farris import farris_inverse
 
 REPRESENTABLE = "representable"
@@ -97,26 +97,13 @@ class ReconstructionOutcome:
 
 def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
     """Per 3-subset, emit xy|z when D(x,y) differs from the two equal other
-    values; all-equal subsets emit nothing; three distinct values raise
-    NotUltrametricError."""
-    ground = d.ground
-    n = len(ground)
-    table: list[list[Optional[Symbol]]] = [[None] * n for _ in range(n)]
-    for (i, j), v in zip(combinations(range(n), 2), d.values):
-        table[i][j] = v
-    found = set()
-    for (x, y, z), (vxy, vxz, vyz) in zip(combinations(ground, 3), table_triples(table)):
-        if vxy == vxz == vyz:
-            continue
-        if vxz == vyz != vxy:
-            found.add(Triplet.of(x, y, z))
-        elif vxy == vyz != vxz:
-            found.add(Triplet.of(x, z, y))
-        elif vxy == vxz != vyz:
-            found.add(Triplet.of(y, z, x))
-        else:
-            raise NotUltrametricError((x, y, z))
-    return TripletSet(ground, frozenset(found))
+    values; all-equal subsets emit nothing.  The first subset, in
+    combinations order, with three distinct values raises
+    NotUltrametricError before any triplet is made."""
+    for names, (xy, xz, yz) in d.triples():
+        if xy != xz != yz != xy:
+            raise NotUltrametricError(names)
+    return triplets_of(d.ground, d.triples())
 
 
 # -- BUILD ------------------------------------------------------------------------

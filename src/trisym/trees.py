@@ -407,21 +407,13 @@ class TreeBuilder:
 # -- text form -------------------------------------------------------------
 
 def _tokenize(newick: str) -> list[str]:
+    """Punctuation and leaf names, skipping whitespace; any other character,
+    matched by the group, is an error."""
     tokens = []
-    i = 0
-    while i < len(newick):
-        ch = newick[i]
-        if ch in "(),;":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            m = _LEAF_RE.match(newick, i)
-            if not m:
-                raise TreeError(f"unexpected character {ch!r} in newick text")
-            tokens.append(m.group(0))
-            i = m.end()
+    for m in re.finditer(rf"[(),;]|{_LEAF_RE.pattern}|(\S)", newick):
+        if m.lastindex:
+            raise TreeError(f"unexpected character {m.group()!r} in newick text")
+        tokens.append(m.group())
     return tokens
 
 
@@ -619,24 +611,30 @@ def induced_subtree(lt: LabelledTree, leaves: Iterable[str]) -> LabelledTree:
     return LabelledTree(newtree, labels, lt.symbols)
 
 
-def displayed_triplets(t: PhyloTree | LabelledTree) -> TripletSet:
-    """All triplets xy|z displayed by a rooted tree: lca(x,z) = lca(y,z) != lca(x,y).
-
-    Triples whose three pairwise lcas coincide contribute nothing.
-    """
-    tree = t.tree if isinstance(t, LabelledTree) else t
-    if tree.flavor != ROOTED:
-        raise TreeError("displayed_triplets is defined on rooted trees")
+def triplets_of(ground: Sequence[str],
+                triples: Iterable[tuple[tuple[str, ...], tuple]]) -> TripletSet:
+    """The triplets read off leaf triples (x, y, z) of the ground, each with
+    its three pair values (xy, xz, yz): a rooted tree's pairwise lcas or a
+    pair map's values.  xy|z where xz = yz != xy; a triple whose three values
+    agree, or all differ, contributes nothing."""
     found = set()
-    for (x, y, z), (xy, xz, yz) in zip(combinations(tree.leaf_order, 3),
-                                       table_triples(tree.leaf_lca_table())):
+    for (x, y, z), (xy, xz, yz) in triples:
         if xz == yz != xy:
             found.add(Triplet.of(x, y, z))
         elif xy == yz != xz:
             found.add(Triplet.of(x, z, y))
         elif xy == xz != yz:
             found.add(Triplet.of(y, z, x))
-    return TripletSet(tree.leaf_order, frozenset(found))
+    return TripletSet(tuple(ground), frozenset(found))
+
+
+def displayed_triplets(t: PhyloTree | LabelledTree) -> TripletSet:
+    """All triplets xy|z displayed by a rooted tree: lca(x,z) = lca(y,z) != lca(x,y)."""
+    tree = t.tree if isinstance(t, LabelledTree) else t
+    if tree.flavor != ROOTED:
+        raise TreeError("displayed_triplets is defined on rooted trees")
+    return triplets_of(tree.leaf_order, zip(combinations(tree.leaf_order, 3),
+                                            table_triples(tree.leaf_lca_table())))
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -19,8 +19,8 @@ from trisym import (
     tree_to_text,
 )
 from trisym.farris import farris_inverse, farris_transform
-from trisym.trees import (LabelledTree, ROOTED, TreeBuilder, UNROOTED, median_of,
-                          table_triples, walk)
+from trisym.trees import (LabelledTree, ROOTED, TreeBuilder, UNROOTED, _LEAF_RE, _tokenize,
+                          median_of, table_triples, walk)
 
 from conftest import caterpillar_text
 
@@ -167,6 +167,68 @@ def test_parse_rejects_duplicate_leaves():
 def test_parse_tree_needs_header():
     with pytest.raises(TreeError):
         parse_tree("((1,2)B,3)A;")
+
+
+def _reference_tokenize(newick):
+    """The hand-written scanner the tokenizer's one regex replaced."""
+    tokens = []
+    i = 0
+    while i < len(newick):
+        ch = newick[i]
+        if ch in "(),;":
+            tokens.append(ch)
+            i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            m = _LEAF_RE.match(newick, i)
+            if not m:
+                raise TreeError(f"unexpected character {ch!r} in newick text")
+            tokens.append(m.group(0))
+            i = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except TreeError as err:
+        return str(err)
+
+
+def test_tokenize_matches_the_reference_scanner():
+    # punctuation, leaf characters, ASCII and Unicode whitespace, and other
+    # characters, among them non-ASCII letters and digits
+    alphabet = ("(),;" "aZ09_.-" " \t\n\r\x0b\x0c" "\x1c\x85\xa0\u1680\u2003\u2028\u3000"
+                "#:[]'\"|!\x00\xe9\u0663\u200b\U0001f600")
+    rng = random.Random(4242)
+    errors = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        want = _tokens_or_error(_reference_tokenize, text)
+        assert _tokens_or_error(_tokenize, text) == want, repr(text)
+        errors += isinstance(want, str)
+    assert 2000 < errors < 18000
+
+
+@pytest.mark.parametrize("flavor, text, message", [
+    (ROOTED, "(1,2)A;#", "unexpected character '#' in newick text"),
+    (ROOTED, "(1,2)A", "newick text must end with ';'"),
+    (ROOTED, "", "newick text must end with ';'"),
+    (ROOTED, "(,2)A;", "expected a leaf name"),
+    (ROOTED, "(1,2);", "interior vertex is missing its label"),
+    (ROOTED, "(1 2)A;", "expected ',' or ')' in newick text"),
+    (ROOTED, "(1,2)A 3;", "trailing tokens after the tree"),
+    (ROOTED, "1;", "a tree needs at least two leaves"),
+    (ROOTED, "((1)B,2)A;", "interior vertex with a single child"),
+    (ROOTED, "(1)A;", "root must have at least two children"),
+    (UNROOTED, "((1,2)B,3)A;", "interior vertex of degree below three"),
+    (ROOTED, "(1,1,2)A;", "duplicate leaf names"),
+])
+def test_parse_newick_error_messages(flavor, text, message):
+    with pytest.raises(TreeError) as err:
+        parse_newick(flavor, text)
+    assert str(err.value) == message
 
 
 def test_text_roundtrip_examples(five_leaf_rooted, five_leaf_unrooted):
