@@ -144,9 +144,10 @@ def cmd_farris(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    table = SymbolTable([f"s{i}" for i in range(args.symbols)])
+    # at most one leaf and one symbol past the bounds, which the spec refuses
+    table = SymbolTable([f"s{i}" for i in range(min(args.symbols, oracle.MAX_SYMBOLS + 1))])
     spec = oracle.EnumerationSpec(
-        tuple(str(i + 1) for i in range(args.leaves)),
+        tuple(str(i + 1) for i in range(min(args.leaves, oracle.MAX_LEAVES + 1))),
         tuple(table),
         args.flavor,
         discriminating_only=not args.all_labellings,

@@ -108,15 +108,7 @@ def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None,
         raise MapError("M conditions apply to plain-symbol three-way maps")
     if len(d.ground) < 4:
         raise MapError("M conditions need a ground set of size at least 4")
-    return list(islice(_m_violations(d, _delta(d, near)), stop_after or None))
-
-
-def _m_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
-    table = _slot_codes(d)[0] if delta != [] else []
-    for kind, k, test in ((M1, 4, _m1_violation), (M2, 5, _m2_violation)):
-        for witness, detail in _scan(d, table, k, _subsets(len(d.ground), k, delta),
-                                     lambda s, _, test=test: test(d, s)):
-            yield Violation(kind, witness, detail)
+    return list(islice(_violations(d, _delta(d, near), _M_FAMILIES), stop_after or None))
 
 
 def _m1_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:
@@ -144,7 +136,7 @@ def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
 # the sum of its entries' digits, so equal codes mean equal values.  A
 # k-subset's key is the codes of its triples in combinations order, the
 # column order of the five-point system below for k = 5.
-_SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (4, 5)}
+_SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (3, 4, 5)}
 
 
 def _value_codes(d: ThreeWayMap) -> tuple[list[int], dict[Symbol, int]]:
@@ -223,6 +215,29 @@ def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple],
                 yield subset, fault
             else:
                 seen.add(key)
+
+
+# Per kind, each family's tag, subset size, and a factory making its _scan
+# test from the map and its digits; the factories look the tests up by name
+# when a scan starts.
+_M_FAMILIES = ((M1, 4, lambda d, digits: lambda quad, key: _m1_violation(d, quad)),
+               (M2, 5, lambda d, digits: lambda five, key: _m2_violation(d, five)))
+_P_FAMILIES = ((P1, 5, lambda d, digits: _p1_details(d, digits)),
+               (P2, 3, lambda d, digits: lambda triple, key: _p2_violation(d, triple)),
+               (P3, 4, lambda d, digits: _p3_detail(d, digits)))
+
+
+def _violations(d: ThreeWayMap, delta: Optional[list[tuple]],
+                families: tuple) -> Iterator[Violation]:
+    """Each family's violations in turn, over the subsets _subsets gives; a
+    test's fault is one detail or a list of them.  The slot codes are laid
+    out only when some subset may be read."""
+    table, digits = _slot_codes(d) if delta != [] else ([], [])
+    n = len(d.ground)
+    for tag, k, test in families:
+        for witness, fault in _scan(d, table, k, _subsets(n, k, delta), test(d, digits)):
+            for detail in [fault] if isinstance(fault, str) else fault:
+                yield Violation(tag, witness, detail)
 
 
 # -- the five-point linear system ----------------------------------------------
@@ -356,27 +371,12 @@ def check_three_way_ultrametric(d: ThreeWayMap, stop_after: Optional[int] = None
         raise MapError("P conditions apply to multiset three-way maps")
     if len(d.ground) < 5:
         raise MapError("P conditions need a ground set of size at least 5")
-    return list(islice(_p_violations(d, _delta(d, near)), stop_after or None))
+    return list(islice(_violations(d, _delta(d, near), _P_FAMILIES), stop_after or None))
 
 
-def _p_violations(d: ThreeWayMap, delta: Optional[list[tuple]]) -> Iterator[Violation]:
-    table, digits = _slot_codes(d) if delta != [] else ([], [])
-    singles = {6 * g for g in digits}
-    n = len(d.ground)
-    for five, pairs in _scan(d, table, 5, _subsets(n, 5, delta), _p1_details(d, singles)):
-        for detail in pairs:
-            yield Violation(P1, five, detail)
-
-    # a tree's value has at most two symbols, so every P2 witness is in delta
-    ground = d.ground
-    triples = d.triples() if delta is None else (
-        (t, d.value(*t)) for t in (tuple([ground[i] for i in s]) for s in delta))
-    for t, v in triples:
-        if len(v.support) > 2:  # type: ignore[union-attr]
-            yield Violation(P2, t, f"value {v.text()} has three distinct symbols")  # type: ignore[union-attr]
-
-    for quad, hit in _scan(d, table, 4, _subsets(n, 4, delta), _p3_detail(d, digits)):
-        yield Violation(P3, quad, hit)
+def _p2_violation(d: ThreeWayMap, triple: Sequence[str]) -> Optional[str]:
+    v: TripleMultiset = d.value(*triple)  # type: ignore[assignment]
+    return f"value {v.text()} has three distinct symbols" if len(v.support) > 2 else None
 
 
 # Per pair row of the five-point system, the columns with coefficient +2.
@@ -393,11 +393,12 @@ def _pair_codes(key: tuple) -> list[int]:
     return [3 * (key[i] + key[j] + key[k] + key[m]) - total for i, j, k, m in _PLUS_COLUMNS]
 
 
-def _p1_details(d: ThreeWayMap, singles: set[int]) -> Callable:
+def _p1_details(d: ThreeWayMap, digits: list[int]) -> Callable:
     """P1's test for _scan: the detail line of every pair of a 5-subset
     whose packed code is not a single symbol's.  A code's digits, each in
     [-18, 24], decode as balanced base-64 digits into the pair's counts,
     and each distinct code's text is made once per scan."""
+    singles = {6 * g for g in digits}
     texts: dict[int, str] = {}
     symbols: list[Symbol] = []
 

@@ -12,8 +12,9 @@ rank slots, with the same maps and messages either way.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import chain, combinations, count, filterfalse, islice
+from itertools import chain, combinations, count, filterfalse
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -360,10 +361,11 @@ def load_three_way_map(text: str, kind: str,
 
     The ground-set order is the order of first appearance.  A saved-form
     text is read by columns, any other in one pass that puts each row's value
-    in the slot at its triple's rank; each distinct value text is parsed once,
-    so values spelled alike are one object.  A filled slot is a duplicate row;
-    after the pass, the first empty slot in combinations order is the missing
-    row.  The first fault in file order is the one reported.
+    in the slot at its triple's rank, making no more slots than the rows it
+    reads; each distinct value text is parsed once, so values spelled alike
+    are one object.  A filled slot is a duplicate row; after the pass, the
+    first empty slot in combinations order is the missing row.  The first
+    fault in file order is the one reported.
     """
     table = symbols if symbols is not None else SymbolTable()
     parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
@@ -373,7 +375,10 @@ def load_three_way_map(text: str, kind: str,
     rows, ground = _rows(text, ["x", "y", "z", "value"], "three-way")
     pos = dict(zip(ground, range(len(ground))))
     first, second = _rank_offsets(len(ground), 3)
-    slots: list[Optional[Value]] = [None] * comb(len(ground), 3)
+    total = comb(len(ground), 3)
+    # a slot per triple only when the rows can fill them all; with fewer rows
+    # some are missing, and a dict makes only the slots that are read
+    slots = [None] * total if total <= len(rows) else defaultdict(type(None))
     parsed: dict[str, Value] = {}
     for x, y, z, raw in rows:
         a, b, c = pos[x], pos[y], pos[z]
@@ -392,8 +397,8 @@ def load_three_way_map(text: str, kind: str,
         if v is None:
             v = parsed[raw] = parse(raw)
         slots[i] = v
-    if len(rows) != len(slots):
-        missing = next(islice(combinations(ground, 3), slots.index(None), None))
+    if len(rows) < total:
+        missing = next(t for i, t in enumerate(combinations(ground, 3)) if slots[i] is None)
         raise MapError(f"missing value for triple {sorted(missing)}")
     return ThreeWayMap(kind, ground, slots, table)  # type: ignore[arg-type]
 
@@ -414,7 +419,8 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
     rows, ground = _rows(text, ["x", "y", "value"], "two-way")
     pos = dict(zip(ground, range(len(ground))))
     first, = _rank_offsets(len(ground), 2)
-    slots: list[Optional[Symbol]] = [None] * comb(len(ground), 2)
+    total = comb(len(ground), 2)
+    slots = [None] * total if total <= len(rows) else defaultdict(type(None))
     for x, y, raw in rows:
         a, b = pos[x], pos[y]
         if a == b:
@@ -423,8 +429,8 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
         if slots[i] is not None:
             raise MapError(f"duplicate row for pair ({x},{y})")
         slots[i] = table.intern(raw)
-    if len(rows) != len(slots):
-        missing = next(islice(combinations(ground, 2), slots.index(None), None))
+    if len(rows) < total:
+        missing = next(t for i, t in enumerate(combinations(ground, 2)) if slots[i] is None)
         raise MapError(f"missing value for pair {sorted(missing)}")
     return TwoWayMap(ground, slots, table)  # type: ignore[arg-type]
 

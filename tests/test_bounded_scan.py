@@ -51,10 +51,21 @@ def _tree(seed, leaves, kind, symbols, discriminating):
                                 symbol_names=NAMES[:symbols], discriminating=discriminating)
 
 
+def _p2_heavy(d, rng, cells):
+    """d with cells of its slots, chosen at random, set to values of three
+    distinct symbols."""
+    three = [v for v in _alphabet(KIND_MULTISET, d.symbols) if len(v.support) == 3]
+    values = list(d.values)
+    for i in rng.sample(range(len(values)), cells):
+        values[i] = rng.choice(three)
+    return ThreeWayMap(d.kind, d.ground, values, d.symbols)
+
+
 def _corpus(kind, count, seed):
     """count maps on 5-12 leaves over 1-6 symbols: per tree its clean map
     and a mutant in 1-3 cells; then, for multiset maps, maps assembled from
-    random pair maps; then random maps on 5-7 leaves."""
+    random pair maps and tree maps with 1-3 cells, or a third of them, set
+    to three distinct symbols; then random maps on 5-7 leaves."""
     rng = random.Random(seed)
     construct = FAMILIES[kind][1]
     out = []
@@ -64,6 +75,9 @@ def _corpus(kind, count, seed):
         out += [d, _mutant(d, rng, 1 + i % 3)]
     if kind == KIND_MULTISET:
         out += [_assembled_map(5 + i % 8, 2 + i % 3, rng) for i in range(count // 8)]
+        for i in range(count // 16):
+            d = construct(_tree(seed + 20_000 + i, 5 + i % 8, kind, 3 + i % 2, True))
+            out.append(_p2_heavy(d, rng, 1 + i % 3 if i % 2 else len(d.values) // 3))
     for i in range(count - len(out)):
         out.append(_random_map(kind, 5 + i % 3, 1 + i % 6, rng))
     return out
@@ -74,18 +88,23 @@ def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
     """Bounded by near_tree's tree, the checker runs as check runs it.  A
     random tree's Delta is mostly too large to bound the scan, so against
     it the fallback is switched off and the bounded scan runs on every map:
-    that tests the soundness argument itself."""
+    that tests the soundness argument itself.  Besides the first one and
+    three violations, the lists are cut after the first P2 violation and
+    after a middle one."""
     seed = 8100 if kind == KIND_MULTISET else 8200
     check = FAMILIES[kind][2]
     maps = _corpus(kind, 520, seed)
     assert len(maps) == 520
     rng = random.Random(seed)
     subsets = conditions._subsets
-    found = bounded = negatives = 0
+    found = bounded = negatives = p2_cuts = 0
     for i, d in enumerate(maps):
         want = check(d)
         near = near_tree(d)
-        for stop_after in (None, 1, 3):
+        p2 = [j for j, v in enumerate(want) if v.kind == conditions.P2]
+        cuts = (None, 1, 3) + ((p2[0] + 1, p2[len(p2) // 2] + 1) if p2 else ())
+        p2_cuts += bool(p2) and p2[0] > 0
+        for stop_after in cuts:
             assert check(d, stop_after, near=near) == want[:stop_after], (d.ground, d.values)
         symbols = rng.randint(1, 4)
         other = _tree(seed + 10_000 + i, len(d.ground), kind, symbols,
@@ -93,7 +112,7 @@ def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
         with monkeypatch.context() as m:
             m.setattr(conditions, "_subsets", lambda n, k, delta: subsets(n, k, delta)
                       if delta is None else conditions._holding(n, k, delta))
-            for stop_after in (None, 1, 3):
+            for stop_after in cuts:
                 assert check(d, stop_after, near=other) == want[:stop_after], (
                     d.ground, d.values, other)
         found += near is not None
@@ -105,6 +124,8 @@ def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
     # near_tree finds a tree for every clean map and for some negatives,
     # and some negatives get a 5-subset scan smaller than the full one
     assert found > 300 and negatives > 250 and bounded > 50
+    # and in many multiset maps the P2 cuts fall after other violations
+    assert p2_cuts > 60 if kind == KIND_MULTISET else p2_cuts == 0
 
 
 def _recording(monkeypatch):
@@ -134,7 +155,7 @@ def test_the_bounded_check_of_a_clean_map_visits_no_subset(monkeypatch, kind, le
         monkeypatch.setattr(conditions, name, refuse)
     monkeypatch.setattr(conditions, "_p1_details", lambda d, singles: refuse)
     assert FAMILIES[kind][2](d, near=near_tree(d)) == []
-    assert sorted(visits) == [(4, 0), (5, 0)]
+    assert sorted(visits) == [(3, 0)] * (kind == KIND_MULTISET) + [(4, 0), (5, 0)]
 
 
 @pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL], ids=["P", "M"])
@@ -152,7 +173,8 @@ def test_the_bounded_check_of_a_one_cell_mutant_visits_the_subsets_of_its_cell(
     check = FAMILIES[kind][2]
     visits, _ = _recording(monkeypatch)
     got = check(d, near=near_tree(d))
-    assert sorted(visits) == [(4, leaves - 3), (5, comb(leaves - 3, 2))]
+    assert sorted(visits) == [(3, 1)] * (kind == KIND_MULTISET) + [
+        (4, leaves - 3), (5, comb(leaves - 3, 2))]
     cell = set(d.ground[-3:])
     assert all(cell <= set(v.witness) for v in got)
     if leaves == 16:
