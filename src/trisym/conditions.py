@@ -15,12 +15,12 @@ boolean, so reports can be printed or serialized for diagnostics.  Subsets
 are scanned in lexicographic rank order over the ground set, which makes the
 first witness deterministic.
 
-The M and P checkers can be given a labelled tree T on the map's ground
-(near).  Every tree's map satisfies every condition on every subset, so a
-subset on which the map agrees with T's map holds no violation: only the
-subsets holding a triple of Delta, the triples where the two maps differ,
-are scanned, and the violations come out the same and in the same order.
-Any tree is sound; a tree close to the map makes Delta small.
+Every checker can be given a labelled tree T on the map's ground (near).
+Every tree's map satisfies every condition on every subset, so a subset on
+which the map agrees with T's map holds no violation: only the subsets
+holding a pair or triple of Delta, where the two maps differ, are scanned,
+and the violations come out the same and in the same order.  Any tree is
+sound; a tree close to the map makes Delta small.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
-                   _rank_offsets, three_way_from_rooted, three_way_from_unrooted)
+                   _rank_offsets, three_way_from_rooted, three_way_from_unrooted,
+                   two_way_from_tree)
 from .symbols import Symbol, SymbolCombination, SymbolTable, TripleMultiset, parse_multiset
 from .trees import LabelledTree
 
@@ -74,25 +75,28 @@ def _pi_pattern(value: Callable[[str, str], object], quad: Sequence[str]) -> Opt
 
 # -- two-way maps: U1 / U2 -----------------------------------------------------
 
-def check_ultrametric(d: TwoWayMap, stop_after: Optional[int] = None) -> list[Violation]:
+def check_ultrametric(d: TwoWayMap, stop_after: Optional[int] = None,
+                      near: Optional[LabelledTree] = None) -> list[Violation]:
     """All U1/U2 violations, or the first stop_after of them; empty exactly
-    when d is representable by lca labels of a rooted labelled tree."""
-    return list(islice(_u_violations(d), stop_after or None))
+    when d is representable by lca labels of a rooted labelled tree.  Given
+    a rooted labelled tree near on d's ground, only the subsets where d
+    differs from its map are scanned, with the same result."""
+    return list(islice(_violations(d, _delta(d, near), _U_FAMILIES), stop_after or None))
 
 
-def _u_violations(d: TwoWayMap) -> Iterator[Violation]:
-    for names, (xy, xz, yz) in d.triples():
-        if xy != xz != yz != xy:
-            yield Violation(U1, names,
-                            f"three pairwise distinct values {xy.name},{xz.name},{yz.name}")
-    for quad in combinations(d.ground, 4):
-        hit = _pi_pattern(d.value, quad)
-        if hit is not None:
-            x, y, z, u = hit
-            yield Violation(
-                U2, quad,
-                f"D({x},{y})=D({y},{z})=D({z},{u})={d.value(x, y).name} but "
-                f"D({z},{x})=D({x},{u})=D({u},{y})={d.value(z, x).name}")
+def _u1_violation(key: tuple[Symbol, Symbol, Symbol]) -> Optional[str]:
+    xy, xz, yz = key
+    return (f"three pairwise distinct values {xy.name},{xz.name},{yz.name}"
+            if xy != xz != yz != xy else None)
+
+
+def _u2_violation(d: TwoWayMap, quad: Sequence[str]) -> Optional[str]:
+    hit = _pi_pattern(d.value, quad)
+    if hit is None:
+        return None
+    x, y, z, u = hit
+    return (f"D({x},{y})=D({y},{z})=D({z},{u})={d.value(x, y).name} but "
+            f"D({z},{x})=D({x},{u})=D({u},{y})={d.value(z, x).name}")
 
 
 # -- plain-symbol three-way maps: M1 / M2 --------------------------------------
@@ -130,71 +134,80 @@ def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
     return None
 
 
-# -- packed slot codes ---------------------------------------------------------
+# -- slot keys -----------------------------------------------------------------
 
-# Each image symbol, in name order, is one base-64 digit; a value's code is
-# the sum of its entries' digits, so equal codes mean equal values.  A
-# k-subset's key is the codes of its triples in combinations order, the
-# column order of the five-point system below for k = 5.
+# A slot's key is its value, but in a multiset map each image symbol, in
+# name order, is a base-64 digit and a value's key is the sum of its
+# entries' digits, for P1 and P3 to compute on.  _scan reads a k-subset's
+# key as table[s[i]][s[j]][s[m]] for each (i, j, m) of _SUBSET_SLOTS[arity][k]:
+# its triples in combinations order (for k = 5 the column order of the
+# five-point system below), or in a pair map, whose table repeats one pair
+# table per position, (0, i, j) for each pair i < j.
 _SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (3, 4, 5)}
+_SUBSET_SLOTS = {3: _SUBSET_TRIPLES,
+                 2: {k: tuple((0, i, j) for i, j in combinations(range(k), 2)) for k in (3, 4)}}
 
 
 def _value_codes(d: ThreeWayMap) -> tuple[list[int], dict[Symbol, int]]:
-    """The code of every slot of d in combinations order, and the digit of
-    each image symbol, in name order.  Each distinct value is coded once."""
+    """The code of every slot of a multiset map d in combinations order, and
+    the digit of each image symbol, in name order.  Each distinct value is
+    coded once."""
     image = set(d.values)
-    plain = d.kind == KIND_SYMBOL
-    symbols = image if plain else {s for v in image for s in v.entries}  # type: ignore[union-attr]
+    symbols = {s for v in image for s in v.entries}  # type: ignore[union-attr]
     digit = {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
-    code = digit if plain else {v: sum(map(digit.__getitem__, v.entries))  # type: ignore[union-attr]
-                                for v in image}
+    code = {v: sum(map(digit.__getitem__, v.entries)) for v in image}  # type: ignore[union-attr]
     return list(map(code.__getitem__, d.values)), digit
 
 
-def _slot_codes(d: ThreeWayMap) -> tuple[list, list[int]]:
-    """The code of every slot as table[a][b][c] for positions a < b < c, and
-    the digit of each image symbol in name order.  The checkers skip it
-    when Delta is empty, as no subset is then read."""
-    flat, digits = _value_codes(d)
+def _slot_codes(d: ThreeWayMap | TwoWayMap) -> tuple[list, list[int]]:
+    """The key of every slot as table[a][b][c] for positions a < b < c (a
+    pair map's b < c for any a), and the digit of each image symbol in name
+    order, none but a multiset map's.  The checkers skip it when Delta is
+    empty, as no subset is then read."""
     n = len(d.ground)
+    if isinstance(d, TwoWayMap):
+        return [d._pair_table()] * n, []
+    flat, digits = _value_codes(d) if d.kind == KIND_MULTISET else (list(d.values), {})
     first, second = _rank_offsets(n, 3)
     table = [[[0] * (b + 1) + flat[first[a] - second[b] + b + 1:first[a] - second[b] + n]
               if b > a else None for b in range(n)] for a in range(n)]
     return table, list(digits.values())
 
 
-def _delta(d: ThreeWayMap, near: Optional[LabelledTree]) -> Optional[list[tuple]]:
-    """Delta: the position triples a < b < c, in combinations order, whose
+def _delta(d: ThreeWayMap | TwoWayMap, near: Optional[LabelledTree]) -> Optional[list[tuple]]:
+    """Delta: the position pairs or triples, in combinations order, whose
     value in d differs from the one in near's map laid out over d.ground;
     None without near."""
     if near is None:
         return None
-    construct = three_way_from_rooted if d.kind == KIND_MULTISET else three_way_from_unrooted
+    construct = (two_way_from_tree if isinstance(d, TwoWayMap) else
+                 three_way_from_rooted if d.kind == KIND_MULTISET else three_way_from_unrooted)
     values = construct(near, d.ground).values
-    return [s for s, a, b in zip(combinations(range(len(d.ground)), 3), d.values, values)
+    return [s for s, a, b in zip(combinations(range(len(d.ground)), d._k), d.values, values)
             if a != b]
 
 
 def _subsets(n: int, k: int, delta: Optional[list[tuple]]) -> Iterable[tuple]:
     """The k-subsets of range(n) to scan, in combinations order: those that
-    hold a triple of delta, or all of them without delta or where delta's
-    |delta| * C(n-3, k-3) subsets could number C(n, k) or more."""
-    if delta is None or len(delta) * comb(n - 3, k - 3) >= comb(n, k):
+    hold a pair or triple t of delta, or all of them without delta or where
+    delta's |delta| * C(n-|t|, k-|t|) subsets could number C(n, k) or more."""
+    t = len(delta[0]) if delta else 0
+    if delta is None or len(delta) * comb(n - t, k - t) >= comb(n, k):
         return combinations(range(n), k)
     return _holding(n, k, delta)
 
 
 def _holding(n: int, k: int, delta: list[tuple]) -> list[tuple]:
-    """The k-subsets of range(n) that hold a triple of delta, in
+    """The k-subsets of range(n) that hold a pair or triple of delta, in
     combinations order."""
     held = set()
     for t in delta:
         rest = [i for i in range(n) if i not in t]
-        held.update(tuple(sorted(t + r)) for r in combinations(rest, k - 3))
+        held.update(tuple(sorted(t + r)) for r in combinations(rest, k - len(t)))
     return sorted(held)
 
 
-def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple],
+def _scan(d: ThreeWayMap | TwoWayMap, table: list, k: int, subsets: Iterable[tuple],
           test: Callable) -> Iterator[tuple]:
     """(subset, fault) for each k-subset of d.ground among subsets (position
     tuples in combinations order) on which test(subset, key) returns a
@@ -205,9 +218,9 @@ def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple],
     the values at the subset's rank positions.
     """
     seen: set[tuple] = set()
-    ground, triples = d.ground, _SUBSET_TRIPLES[k]
+    ground, slots = d.ground, _SUBSET_SLOTS[d._k][k]
     for s in subsets:
-        key = tuple([table[s[i]][s[j]][s[m]] for i, j, m in triples])
+        key = tuple([table[s[i]][s[j]][s[m]] for i, j, m in slots])
         if key not in seen:
             subset = tuple([ground[i] for i in s])
             fault = test(subset, key)
@@ -220,6 +233,8 @@ def _scan(d: ThreeWayMap, table: list, k: int, subsets: Iterable[tuple],
 # Per kind, each family's tag, subset size, and a factory making its _scan
 # test from the map and its digits; the factories look the tests up by name
 # when a scan starts.
+_U_FAMILIES = ((U1, 3, lambda d, digits: lambda triple, key: _u1_violation(key)),
+               (U2, 4, lambda d, digits: lambda quad, key: _u2_violation(d, quad)))
 _M_FAMILIES = ((M1, 4, lambda d, digits: lambda quad, key: _m1_violation(d, quad)),
                (M2, 5, lambda d, digits: lambda five, key: _m2_violation(d, five)))
 _P_FAMILIES = ((P1, 5, lambda d, digits: _p1_details(d, digits)),
@@ -227,10 +242,10 @@ _P_FAMILIES = ((P1, 5, lambda d, digits: _p1_details(d, digits)),
                (P3, 4, lambda d, digits: _p3_detail(d, digits)))
 
 
-def _violations(d: ThreeWayMap, delta: Optional[list[tuple]],
+def _violations(d: ThreeWayMap | TwoWayMap, delta: Optional[list[tuple]],
                 families: tuple) -> Iterator[Violation]:
     """Each family's violations in turn, over the subsets _subsets gives; a
-    test's fault is one detail or a list of them.  The slot codes are laid
+    test's fault is one detail or a list of them.  The slot keys are laid
     out only when some subset may be read."""
     table, digits = _slot_codes(d) if delta != [] else ([], [])
     n = len(d.ground)

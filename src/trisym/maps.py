@@ -121,15 +121,18 @@ class TwoWayMap(_TotalMap):
 
     pairs = _TotalMap._items
 
+    def _pair_table(self) -> list[list[Optional[Symbol]]]:
+        """The values as an upper-triangle table: D(x,y) at [a][b] for the
+        positions a < b of x and y, None on and below the diagonal."""
+        first, n = self._offsets[0], len(self.ground)
+        return [[None] * (a + 1) + list(self.values[first[a] + a + 1:first[a] + n])
+                for a in range(n)]
+
     def triples(self) -> Iterator[tuple[tuple[str, ...], tuple[Symbol, Symbol, Symbol]]]:
         """((x, y, z), (D(x,y), D(x,z), D(y,z))) for every 3-subset, in
-        combinations order, read off one upper-triangle table of the values
-        as a tree's three pairwise lcas are read off its lca table."""
-        n = len(self.ground)
-        first, = self._offsets
-        table = [[None] * (i + 1) + list(self.values[first[i] + i + 1:first[i] + n])
-                 for i in range(n)]
-        return zip(combinations(self.ground, 3), table_triples(table))
+        combinations order, read off the upper-triangle table as a tree's
+        three pairwise lcas are read off its lca table."""
+        return zip(combinations(self.ground, 3), table_triples(self._pair_table()))
 
     def image_symbols(self) -> set[Symbol]:
         return set(self.values)
@@ -191,14 +194,15 @@ def _vertex_labels(lt: LabelledTree) -> list[Optional[Symbol]]:
     return [lt.labels.get(v) for v in range(lt.tree.n_vertices)]
 
 
-def two_way_from_tree(lt: LabelledTree) -> TwoWayMap:
-    """D(x,y) = label of the least common ancestor, for a rooted labelled tree."""
+def two_way_from_tree(lt: LabelledTree, ground: Optional[Sequence[str]] = None) -> TwoWayMap:
+    """D(x,y) = label of the least common ancestor, for a rooted labelled
+    tree.  A ground order lays the map out as in three_way_from_unrooted."""
     if lt.flavor != ROOTED:
         raise MapError("two_way_from_tree needs a rooted labelled tree")
     label = _vertex_labels(lt)
-    lca = lt.tree.leaf_lca_table()
+    ground, lca = _lca_table(lt, ground)
     values = [label[lca[i][j]] for i, j in combinations(range(len(lca)), 2)]
-    return TwoWayMap(lt.leaf_order, values, lt.symbols)
+    return TwoWayMap(ground, values, lt.symbols)
 
 
 def _lca_table(lt: LabelledTree,

@@ -431,20 +431,28 @@ def _witnessed(d: ThreeWayMap, x: str, y: str, z: str) -> bool:
 # -- the tree of a pair map ------------------------------------------------------------
 
 def _tree_from_two_way(d2: TwoWayMap) -> LabelledTree | ReconstructionOutcome:
-    """The discriminating labelled rooted tree of a pair map D: BUILD on D
-    itself, each interior label read as D across its first two children;
-    or the negative outcome of the triplet or BUILD stage, which
-    triplets_from_two_way names where the split fails (the split completes
-    exactly when D is a symbolic ultrametric)."""
+    """The discriminating labelled rooted tree of a pair map D, or the
+    negative outcome of the triplet or BUILD stage, which
+    triplets_from_two_way names where the split fails."""
+    tree = _split_tree(d2)
+    if tree is not None:
+        return tree
+    try:
+        triplets_from_two_way(d2)
+        stage, detail = STAGE_BUILD, "triplets are not displayed by any tree"
+    except NotUltrametricError as err:
+        stage, detail = STAGE_TRIPLETS, str(err)
+    return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=stage, detail=detail)
+
+
+def _split_tree(d2: TwoWayMap) -> Optional[LabelledTree]:
+    """BUILD on a pair map D itself, each interior label read as D across
+    its first two children: D's discriminating labelled rooted tree, whose
+    lca map is D, or None where the split fails (exactly when D is not a
+    symbolic ultrametric)."""
     shape = build(d2, d2.ground)
     if shape is None:
-        try:
-            triplets_from_two_way(d2)
-        except NotUltrametricError as err:
-            return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_TRIPLETS,
-                                         detail=str(err))
-        return ReconstructionOutcome(NOT_REPRESENTABLE, failure_stage=STAGE_BUILD,
-                                     detail="triplets are not displayed by any tree")
+        return None
     # children are numbered after their parent: pass each first leaf up
     first = dict(shape.leaf_name)
     labels = {}
@@ -491,16 +499,20 @@ def _verified(d: ThreeWayMap,
         detail="candidate tree does not reproduce the map on all triples")
 
 
-def near_tree(d: ThreeWayMap) -> Optional[LabelledTree]:
+def near_tree(d: ThreeWayMap | TwoWayMap) -> Optional[LabelledTree]:
     """A labelled tree on d's ground built by the decision's own stages
     without the final verification, or None where none is built; on a
     representable map, the map's tree.  The condition checkers take it as
-    near to bound their scans by Delta, the triples where d differs from
-    its map.  A multiset map (|X| >= 5) gets the candidate of rotating
-    five-point windows.  A symbol map (|X| >= 4) gets the candidate through
-    the first of its first four leaves whose Delta has at most one triple,
-    which no other tree beats, or else the one with the smallest Delta: a
-    one-cell change holds three leaves, so one projection avoids it."""
+    near to bound their scans by Delta, the subsets where d differs from
+    its map.  A pair map gets its split's tree, which exists exactly when
+    the map is the tree's map.  A multiset map (|X| >= 5) gets the
+    candidate of rotating five-point windows.  A symbol map (|X| >= 4) gets
+    the candidate through the first of its first four leaves whose Delta
+    has at most one triple, which no other tree beats, or else the one with
+    the smallest Delta: a one-cell change holds three leaves, so one
+    projection avoids it."""
+    if isinstance(d, TwoWayMap):
+        return _split_tree(d)
     if d.kind == KIND_MULTISET:
         tree = _candidate(d, None, rotate=True) if len(d.ground) >= 5 else None
         return tree if isinstance(tree, LabelledTree) else None

@@ -6,10 +6,13 @@ measured with tracemalloc: a slot list per subset of 600 leaves' triples
 would be about 290 MB, and 200,000 symbols several tens of MB."""
 
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
+from trisym import KIND_SYMBOL, SymbolTable, ThreeWayMap
 from trisym.cli import EXIT_BAD_INPUT, main
+from trisym.conditions import _slot_codes
 
 PEAK_LIMIT = 4 * 2**20  # bytes; refusing any input here takes under 3 MB
 
@@ -66,4 +69,21 @@ def test_census_refuses_counts_past_its_bounds_in_bounded_memory(capsys, leaves,
     code, out, err, peak = _run_traced(capsys, ["census", "--leaves", leaves, "--symbols",
                                                 symbols, "--flavor", "rooted"])
     assert (code, out, err) == (EXIT_BAD_INPUT, "", f"error: {message}\n")
+    assert peak < PEAK_LIMIT
+
+
+def test_the_slot_keys_of_a_many_symbol_map_take_memory_linear_in_its_size():
+    """A 40-leaf plain-symbol map with a distinct symbol per triple: 9,880
+    symbols.  Its slot keys are its values, so laying them out takes about
+    one reference per slot however many symbols there are, where a base-64
+    digit per symbol would make each code up to 6 * 9,880 bits wide."""
+    ground = [f"t{i}" for i in range(40)]
+    table = SymbolTable([f"s{i}" for i in range(len(list(combinations(ground, 3))))])
+    d = ThreeWayMap(KIND_SYMBOL, ground, list(table), table)
+    tracemalloc.start()
+    try:
+        _slot_codes(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < PEAK_LIMIT

@@ -1,7 +1,7 @@
-"""The P and M checkers bounded by a labelled tree near the map.
+"""The U, M and P checkers bounded by a labelled tree near the map.
 
 Given a tree T on the map's ground, the checkers scan only the subsets that
-hold a triple where the map differs from T's map.  Every tree's map
+hold a pair or triple where the map differs from T's map.  Every tree's map
 satisfies every condition, so the violation list must be the full scan's,
 whichever tree T is: the tree near_tree builds from the map, or a random
 one.  The bound is passed by `trisym check` only; the routes that
@@ -21,12 +21,14 @@ from trisym import (
     KIND_SYMBOL,
     check_three_way_ultrametric,
     check_tree_map,
+    check_ultrametric,
     conditions,
     reconstruct,
     representable_by_conditions,
     save_three_way_map,
     three_way_from_rooted,
     three_way_from_unrooted,
+    two_way_from_tree,
 )
 from trisym.cli import main
 from trisym.maps import ThreeWayMap
@@ -34,12 +36,14 @@ from trisym.reconstruct import near_tree
 from trisym.trees import ROOTED, UNROOTED
 
 sys.path.insert(0, str(Path(__file__).parent))
-from test_condition_codes import NAMES, _alphabet, _assembled_map, _mutant, _random_map  # noqa: E402
+from test_condition_codes import (NAMES, PAIR, _alphabet, _assembled_map, _mutant,  # noqa: E402
+                                  _random_map)
 from test_trees import random_labelled_tree  # noqa: E402
 
 FAMILIES = {
     KIND_MULTISET: (ROOTED, three_way_from_rooted, check_three_way_ultrametric),
     KIND_SYMBOL: (UNROOTED, three_way_from_unrooted, check_tree_map),
+    PAIR: (ROOTED, two_way_from_tree, check_ultrametric),
 }
 
 
@@ -83,7 +87,7 @@ def _corpus(kind, count, seed):
     return out
 
 
-@pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL], ids=["P", "M"])
+@pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL, PAIR], ids=["P", "M", "U"])
 def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
     """Bounded by near_tree's tree, the checker runs as check runs it.  A
     random tree's Delta is mostly too large to bound the scan, so against
@@ -91,7 +95,7 @@ def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
     that tests the soundness argument itself.  Besides the first one and
     three violations, the lists are cut after the first P2 violation and
     after a middle one."""
-    seed = 8100 if kind == KIND_MULTISET else 8200
+    seed = {KIND_MULTISET: 8100, KIND_SYMBOL: 8200, PAIR: 8300}[kind]
     check = FAMILIES[kind][2]
     maps = _corpus(kind, 520, seed)
     assert len(maps) == 520
@@ -121,6 +125,11 @@ def test_bounded_scans_match_the_full_scan(monkeypatch, kind):
             delta = conditions._delta(d, near)
             n = len(d.ground)
             bounded += len(delta) * comb(n - 3, 2) < comb(n, 5)
+    if kind == PAIR:
+        # a pair map's near tree is its split's, which exists exactly
+        # where the map is clean
+        assert found == len(maps) - negatives > 150 and negatives > 250 and bounded == 0
+        return
     # near_tree finds a tree for every clean map and for some negatives,
     # and some negatives get a 5-subset scan smaller than the full one
     assert found > 300 and negatives > 250 and bounded > 50
@@ -146,16 +155,18 @@ def _recording(monkeypatch):
     return visits, refuse
 
 
-@pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL], ids=["P", "M"])
+@pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL, PAIR], ids=["P", "M", "U"])
 @pytest.mark.parametrize("leaves", [16, 32, 64])
 def test_the_bounded_check_of_a_clean_map_visits_no_subset(monkeypatch, kind, leaves):
     d = FAMILIES[kind][1](_tree(leaves, leaves, kind, 3, True))
     visits, refuse = _recording(monkeypatch)
-    for name in ("_m1_violation", "_m2_violation", "_p3_violation"):
+    for name in ("_m1_violation", "_m2_violation", "_p3_violation", "_u1_violation",
+                 "_u2_violation", "_pi_pattern"):
         monkeypatch.setattr(conditions, name, refuse)
     monkeypatch.setattr(conditions, "_p1_details", lambda d, singles: refuse)
     assert FAMILIES[kind][2](d, near=near_tree(d)) == []
-    assert sorted(visits) == [(3, 0)] * (kind == KIND_MULTISET) + [(4, 0), (5, 0)]
+    assert sorted(visits) == {KIND_MULTISET: [(3, 0), (4, 0), (5, 0)],
+                              KIND_SYMBOL: [(4, 0), (5, 0)], PAIR: [(3, 0), (4, 0)]}[kind]
 
 
 @pytest.mark.parametrize("kind", [KIND_MULTISET, KIND_SYMBOL], ids=["P", "M"])

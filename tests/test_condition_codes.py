@@ -1,11 +1,11 @@
-"""The P and M checkers against the per-subset scans they replaced.
+"""The U, M and P checkers against the per-subset scans they replaced.
 
-reference_check_three_way_ultrametric and reference_check_tree_map read
-every value through ThreeWayMap.value() for every subset, pair and role
-permutation.  The checkers skip the subsets whose packed slot codes are
-known clean, so they must return the same Violation list, in the same
-order: the reference's full list, or its first stop_after entries, which is
-what the reference returned when it stopped early.
+reference_check_ultrametric, reference_check_three_way_ultrametric and
+reference_check_tree_map read every value through value() for every
+subset, pair and role permutation.  The checkers skip the subsets whose
+slot keys are known clean, so they must return the same Violation list, in
+the same order: the reference's full list, or its first stop_after
+entries, which is what the reference returned when it stopped early.
 """
 
 import random
@@ -25,14 +25,17 @@ from trisym import (
     TwoWayMap,
     check_three_way_ultrametric,
     check_tree_map,
+    check_ultrametric,
     three_way_from_rooted,
     three_way_from_two_way,
     three_way_from_unrooted,
+    two_way_from_tree,
 )
 from trisym import conditions
 from trisym.conditions import (
-    M1, M2, P1, P2, P3, PAIR_OF_TRIPLES_NUMERATORS, TRIPLE_OF_PAIRS, Violation, _pair_codes,
-    _pi_pattern, _p3_violation, _slot_codes, counts_are_valid, counts_combination, pair_counts,
+    M1, M2, P1, P2, P3, U1, U2, PAIR_OF_TRIPLES_NUMERATORS, TRIPLE_OF_PAIRS, Violation,
+    _pair_codes, _pi_pattern, _p3_violation, _slot_codes, counts_are_valid, counts_combination,
+    pair_counts,
 )
 from trisym.trees import ROOTED, UNROOTED
 
@@ -41,6 +44,26 @@ from conftest import multiset_alphabet, random_multiset_map, random_plain_map  #
 from test_trees import random_labelled_tree  # noqa: E402
 
 NAMES = tuple(string.ascii_uppercase[:12])
+PAIR = "pair"  # the kind of a pair map, which has no codomain kind of its own
+
+
+def reference_check_ultrametric(d):
+    """Every U1/U2 violation, one value() call per pair of each 4-subset
+    and role permutation."""
+    out = []
+    for names, (xy, xz, yz) in d.triples():
+        if xy != xz != yz != xy:
+            out.append(Violation(
+                U1, names, f"three pairwise distinct values {xy.name},{xz.name},{yz.name}"))
+    for quad in combinations(d.ground, 4):
+        hit = _pi_pattern(d.value, quad)
+        if hit is not None:
+            x, y, z, u = hit
+            out.append(Violation(
+                U2, quad,
+                f"D({x},{y})=D({y},{z})=D({z},{u})={d.value(x, y).name} but "
+                f"D({z},{x})=D({x},{u})=D({u},{y})={d.value(z, x).name}"))
+    return out
 
 
 def reference_check_tree_map(d):
@@ -89,21 +112,31 @@ def reference_check_three_way_ultrametric(d):
     return out
 
 
+def _kind(d):
+    return d.kind if isinstance(d, ThreeWayMap) else PAIR
+
+
 def _alphabet(kind, table):
-    return list(table) if kind == KIND_SYMBOL else multiset_alphabet(table)
+    return multiset_alphabet(table) if kind == KIND_MULTISET else list(table)
 
 
 def _mutant(d, rng, cells):
     values = list(d.values)
-    alphabet = _alphabet(d.kind, d.symbols)
+    alphabet = _alphabet(_kind(d), d.symbols)
     for i in rng.sample(range(len(values)), cells):
         values[i] = rng.choice([v for v in alphabet if v != values[i]])
+    if isinstance(d, TwoWayMap):
+        return TwoWayMap(d.ground, values, d.symbols)
     return ThreeWayMap(d.kind, d.ground, values, d.symbols)
 
 
 def _random_map(kind, leaves, symbols, rng):
+    ground, table = [str(i + 1) for i in range(leaves)], SymbolTable(NAMES[:symbols])
+    if kind == PAIR:
+        return TwoWayMap(ground, [rng.choice(list(table)) for _ in combinations(ground, 2)],
+                         table)
     make = random_multiset_map if kind == KIND_MULTISET else random_plain_map
-    return make([str(i + 1) for i in range(leaves)], SymbolTable(NAMES[:symbols]), rng)
+    return make(ground, table, rng)
 
 
 def _assembled_map(leaves, symbols, rng):
@@ -122,8 +155,9 @@ def _maps(kind, count, seed):
     symbols (for multiset maps, half of them assembled from random pair
     maps)."""
     rng = random.Random(seed)
-    flavor = ROOTED if kind == KIND_MULTISET else UNROOTED
-    construct = three_way_from_rooted if kind == KIND_MULTISET else three_way_from_unrooted
+    flavor = UNROOTED if kind == KIND_SYMBOL else ROOTED
+    construct = {KIND_MULTISET: three_way_from_rooted, KIND_SYMBOL: three_way_from_unrooted,
+                 PAIR: two_way_from_tree}[kind]
     out = []
     for i in range(count // 4):
         leaves = 5 + i % 4
@@ -144,10 +178,11 @@ def _maps(kind, count, seed):
 @pytest.mark.parametrize("kind, check, reference", [
     (KIND_MULTISET, check_three_way_ultrametric, reference_check_three_way_ultrametric),
     (KIND_SYMBOL, check_tree_map, reference_check_tree_map),
-], ids=["P", "M"])
+    (PAIR, check_ultrametric, reference_check_ultrametric),
+], ids=["P", "M", "U"])
 def test_checkers_match_the_reference_scans(kind, check, reference):
-    maps = _maps(kind, 460, 7100 if kind == KIND_MULTISET else 7200)
-    assert len(maps) == 460 and all(d.kind == kind for d in maps)
+    maps = _maps(kind, 460, {KIND_MULTISET: 7100, KIND_SYMBOL: 7200, PAIR: 7500}[kind])
+    assert len(maps) == 460 and all(_kind(d) == kind for d in maps)
     clean, kinds = 0, set()
     for d in maps:
         want = reference(d)
@@ -156,7 +191,7 @@ def test_checkers_match_the_reference_scans(kind, check, reference):
         clean += not want
         kinds.update(v.kind for v in want)
     assert 100 < clean < 260
-    assert kinds == ({P1, P2, P3} if kind == KIND_MULTISET else {M1, M2})
+    assert kinds == {KIND_MULTISET: {P1, P2, P3}, KIND_SYMBOL: {M1, M2}, PAIR: {U1, U2}}[kind]
 
 
 @pytest.mark.parametrize("symbols", [1, 2, 3, 5, 12])

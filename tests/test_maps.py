@@ -46,6 +46,24 @@ def test_two_way_from_tree_examples(five_leaf_rooted, abc_table):
     assert dc.value("1", "2").name == "B"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_two_way_from_tree_lays_the_map_out_over_a_ground_order(seed):
+    """Over a shuffled ground the map keeps that order and equals the map in
+    the tree's leaf order; a ground that does not name each leaf once is
+    refused."""
+    rng = random.Random(seed)
+    lt = random_labelled_tree(9000 + seed, 4 + seed, ROOTED, symbol_names=("A", "B", "C"))
+    ground = list(lt.leaf_order)
+    rng.shuffle(ground)
+    d = two_way_from_tree(lt, ground)
+    assert d.ground == tuple(ground) and d == two_way_from_tree(lt)
+    assert all(d.value(x, y) == lt.lca_label(x, y) for x, y in combinations(ground, 2))
+    for bad in (ground[1:], ground + ground[:1], ground[:-1] + ground[:1],
+                ground[:-1] + ["nowhere"]):
+        with pytest.raises(MapError, match="the ground order must name each leaf"):
+            two_way_from_tree(lt, bad)
+
+
 def test_three_way_from_unrooted_examples(five_leaf_unrooted):
     d = three_way_from_unrooted(five_leaf_unrooted)
     assert d.value("1", "3", "5").name == "A"
