@@ -86,10 +86,12 @@ def check_report_json(family: str, violations: Sequence[conditions.Violation]) -
 
 
 # Per condition family, the codomain its maps load as and its checker's name
-# in conditions, looked up when check runs so that a checker wrapped on the
-# module (as the benchmark's tracer wraps them) is the one called.
+# in conditions; per codomain, its decider's name in reconstruct.  Both are
+# looked up when a command runs, so that a function wrapped on its module
+# (as the benchmark's tracer wraps them) is the one called.
 _CHECKS = {"U": ("two-way", "check_ultrametric"), "M": ("symbol", "check_tree_map"),
            "P": ("multiset", "check_three_way_ultrametric")}
+_DECIDERS = {"symbol": "decide_tree_map", "multiset": "decide_ultrametric"}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -107,10 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     d = _load_map(args.input, args.codomain)
-    if args.codomain == "symbol":
-        outcome = reconstruct.decide_tree_map(d)
-    else:
-        outcome = reconstruct.decide_ultrametric(d)
+    outcome = getattr(reconstruct, _DECIDERS[args.codomain])(d)
     if args.format == "json":
         payload = {"verdict": outcome.verdict,
                    "failure_stage": outcome.failure_stage,
@@ -165,10 +164,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_cross_validate(args: argparse.Namespace) -> int:
     d = _load_map(args.input, args.codomain)
     checker = conditions.representable_by_conditions(d)
-    if args.codomain == "symbol":
-        outcome = reconstruct.decide_tree_map(d)
-    else:
-        outcome = reconstruct.decide_ultrametric(d)
+    outcome = getattr(reconstruct, _DECIDERS[args.codomain])(d)
     verdicts = {"conditions": checker, "reconstruction": outcome.representable}
     if len(d.ground) <= oracle.MAX_LEAVES:
         verdicts["oracle"] = oracle.oracle_representable_three_way(d) is not None

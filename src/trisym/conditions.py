@@ -115,13 +115,11 @@ def check_tree_map(d: ThreeWayMap, stop_after: Optional[int] = None,
     return list(islice(_violations(d, _delta(d, near), _M_FAMILIES), stop_after or None))
 
 
-def _m1_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:
-    x, y, z, u = quad
-    vals = [d.value(x, y, z), d.value(x, y, u), d.value(x, z, u), d.value(y, z, u)]
-    if sorted(vals.count(v) for v in set(vals)) in ([4], [2, 2]):
+def _m1_violation(key: tuple[Symbol, Symbol, Symbol, Symbol]) -> Optional[str]:
+    if sorted(key.count(v) for v in set(key)) in ([4], [2, 2]):
         return None
-    shown = ",".join(v.name for v in vals)  # type: ignore[union-attr]
-    return f"triple values {shown} split neither all-equal nor two-and-two"
+    return (f"triple values {','.join(v.name for v in key)} "
+            "split neither all-equal nor two-and-two")
 
 
 def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
@@ -136,42 +134,43 @@ def _m2_violation(d: ThreeWayMap, five: Sequence[str]) -> Optional[str]:
 
 # -- slot keys -----------------------------------------------------------------
 
-# A slot's key is its value, but in a multiset map each image symbol, in
-# name order, is a base-64 digit and a value's key is the sum of its
-# entries' digits, for P1 and P3 to compute on.  _scan reads a k-subset's
-# key as table[s[i]][s[j]][s[m]] for each (i, j, m) of _SUBSET_SLOTS[arity][k]:
-# its triples in combinations order (for k = 5 the column order of the
-# five-point system below), or in a pair map, whose table repeats one pair
-# table per position, (0, i, j) for each pair i < j.
+# A slot's key is its value.  _scan reads a k-subset's key as
+# table[s[i]][s[j]][s[m]] for each (i, j, m) of _SUBSET_SLOTS[arity][k]: its
+# triples in combinations order (for k = 5 the column order of the five-point
+# system below), or in a pair map, whose table repeats one pair table per
+# position, (0, i, j) for each pair i < j.
 _SUBSET_TRIPLES = {k: tuple(combinations(range(k), 3)) for k in (3, 4, 5)}
 _SUBSET_SLOTS = {3: _SUBSET_TRIPLES,
                  2: {k: tuple((0, i, j) for i, j in combinations(range(k), 2)) for k in (3, 4)}}
 
 
+def _digits(symbols: Iterable[Symbol]) -> dict[Symbol, int]:
+    """Each symbol's base-64 digit, 1 << 6*i for the i-th in name order,
+    keyed in that order.  A multiset's code is the sum of its entries'
+    digits; P1 and five-point pair recovery compute on codes."""
+    return {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
+
+
 def _value_codes(d: ThreeWayMap) -> tuple[list[int], dict[Symbol, int]]:
     """The code of every slot of a multiset map d in combinations order, and
-    the digit of each image symbol, in name order.  Each distinct value is
-    coded once."""
-    image = set(d.values)
-    symbols = {s for v in image for s in v.entries}  # type: ignore[union-attr]
-    digit = {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
-    code = {v: sum(map(digit.__getitem__, v.entries)) for v in image}  # type: ignore[union-attr]
+    the digit of each image symbol.  Each distinct value is coded once."""
+    digit = _digits(d.image_symbols())
+    code = {v: sum(map(digit.__getitem__, v.entries))  # type: ignore[union-attr]
+            for v in set(d.values)}
     return list(map(code.__getitem__, d.values)), digit
 
 
-def _slot_codes(d: ThreeWayMap | TwoWayMap) -> tuple[list, list[int]]:
+def _slot_codes(d: ThreeWayMap | TwoWayMap) -> list:
     """The key of every slot as table[a][b][c] for positions a < b < c (a
-    pair map's b < c for any a), and the digit of each image symbol in name
-    order, none but a multiset map's.  The checkers skip it when Delta is
-    empty, as no subset is then read."""
+    pair map's b < c for any a): one reference per slot, however many
+    symbols the map has.  The checkers skip it when Delta is empty, as no
+    subset is then read."""
     n = len(d.ground)
     if isinstance(d, TwoWayMap):
-        return [d._pair_table()] * n, []
-    flat, digits = _value_codes(d) if d.kind == KIND_MULTISET else (list(d.values), {})
+        return [d._pair_table()] * n
     first, second = _rank_offsets(n, 3)
-    table = [[[0] * (b + 1) + flat[first[a] - second[b] + b + 1:first[a] - second[b] + n]
-              if b > a else None for b in range(n)] for a in range(n)]
-    return table, list(digits.values())
+    return [[(None,) * (b + 1) + d.values[first[a] - second[b] + b + 1:first[a] - second[b] + n]
+             if b > a else None for b in range(n)] for a in range(n)]
 
 
 def _delta(d: ThreeWayMap | TwoWayMap, near: Optional[LabelledTree]) -> Optional[list[tuple]]:
@@ -231,15 +230,15 @@ def _scan(d: ThreeWayMap | TwoWayMap, table: list, k: int, subsets: Iterable[tup
 
 
 # Per kind, each family's tag, subset size, and a factory making its _scan
-# test from the map and its digits; the factories look the tests up by name
-# when a scan starts.
-_U_FAMILIES = ((U1, 3, lambda d, digits: lambda triple, key: _u1_violation(key)),
-               (U2, 4, lambda d, digits: lambda quad, key: _u2_violation(d, quad)))
-_M_FAMILIES = ((M1, 4, lambda d, digits: lambda quad, key: _m1_violation(d, quad)),
-               (M2, 5, lambda d, digits: lambda five, key: _m2_violation(d, five)))
-_P_FAMILIES = ((P1, 5, lambda d, digits: _p1_details(d, digits)),
-               (P2, 3, lambda d, digits: lambda triple, key: _p2_violation(d, triple)),
-               (P3, 4, lambda d, digits: _p3_detail(d, digits)))
+# test from the map; the factories look the tests up by name when a scan
+# starts.
+_U_FAMILIES = ((U1, 3, lambda d: lambda triple, key: _u1_violation(key)),
+               (U2, 4, lambda d: lambda quad, key: _u2_violation(d, quad)))
+_M_FAMILIES = ((M1, 4, lambda d: lambda quad, key: _m1_violation(key)),
+               (M2, 5, lambda d: lambda five, key: _m2_violation(d, five)))
+_P_FAMILIES = ((P1, 5, lambda d: _p1_details(d)),
+               (P2, 3, lambda d: lambda triple, key: _p2_violation(d, triple)),
+               (P3, 4, lambda d: lambda quad, key: _p3_detail(d, quad, key)))
 
 
 def _violations(d: ThreeWayMap | TwoWayMap, delta: Optional[list[tuple]],
@@ -247,10 +246,10 @@ def _violations(d: ThreeWayMap | TwoWayMap, delta: Optional[list[tuple]],
     """Each family's violations in turn, over the subsets _subsets gives; a
     test's fault is one detail or a list of them.  The slot keys are laid
     out only when some subset may be read."""
-    table, digits = _slot_codes(d) if delta != [] else ([], [])
+    table = _slot_codes(d) if delta != [] else []
     n = len(d.ground)
     for tag, k, test in families:
-        for witness, fault in _scan(d, table, k, _subsets(n, k, delta), test(d, digits)):
+        for witness, fault in _scan(d, table, k, _subsets(n, k, delta), test(d)):
             for detail in [fault] if isinstance(fault, str) else fault:
                 yield Violation(tag, witness, detail)
 
@@ -399,68 +398,64 @@ _PLUS_COLUMNS = tuple(tuple(j for j, c in enumerate(row) if c == 2)
                       for row in PAIR_OF_TRIPLES_NUMERATORS)
 
 
-def _pair_codes(key: tuple) -> list[int]:
-    """Per pair row, pair_counts as one packed code: 2*(sum of the row's +2
-    columns) - (sum of the rest) = 3*(sum of the +2 columns) - total.
+def _pair_codes(codes: Sequence[int]) -> list[int]:
+    """Per pair row, pair_counts as one packed code from the ten triple codes
+    of a 5-subset: 2*(sum of the row's +2 columns) - (sum of the rest) =
+    3*(sum of the +2 columns) - total.
     Every digit lies in [-18, 24], so the code fixes the counts, and as the
     counts sum to 6 they are valid exactly when the code is 6 times a digit."""
-    total = sum(key)
-    return [3 * (key[i] + key[j] + key[k] + key[m]) - total for i, j, k, m in _PLUS_COLUMNS]
+    total = sum(codes)
+    return [3 * (codes[i] + codes[j] + codes[k] + codes[m]) - total
+            for i, j, k, m in _PLUS_COLUMNS]
 
 
-def _p1_details(d: ThreeWayMap, digits: list[int]) -> Callable:
+def _p1_details(d: ThreeWayMap) -> Callable:
     """P1's test for _scan: the detail line of every pair of a 5-subset
-    whose packed code is not a single symbol's.  A code's digits, each in
-    [-18, 24], decode as balanced base-64 digits into the pair's counts,
-    and each distinct code's text is made once per scan."""
-    singles = {6 * g for g in digits}
+    whose packed code is not a single symbol's.  The subset's ten values
+    are packed by their entries' digits, each distinct value once per scan.
+    A pair's code has digits in [-18, 24], which decode as balanced base-64
+    digits into the pair's counts, and each distinct code's text is made
+    once per scan."""
+    digit = _digits(d.image_symbols())
+    singles = {6 * g for g in digit.values()}
+    codes: dict[TripleMultiset, int] = {}
     texts: dict[int, str] = {}
-    symbols: list[Symbol] = []
+
+    def pack(v: TripleMultiset) -> int:
+        if v not in codes:
+            codes[v] = sum(map(digit.__getitem__, v.entries))
+        return codes[v]
 
     def text(code: int) -> str:
         if code not in texts:
-            if not symbols:
-                symbols.extend(sorted(d.image_symbols(), key=lambda s: s.name))
             counts, rest = {}, code
-            for s in symbols:
-                digit = (rest + 31) % 64 - 31
-                counts[s] = digit
-                rest = (rest - digit) >> 6
+            for s in digit:
+                g = (rest + 31) % 64 - 31
+                counts[s] = g
+                rest = (rest - g) >> 6
             texts[code] = counts_combination(counts).text()
         return texts[code]
 
     def details(five: tuple[str, ...], key: tuple) -> list[str]:
         return [f"combination for pair ({p},{q}) is {text(code)}"
-                for (p, q), code in zip(combinations(five, 2), _pair_codes(key))
+                for (p, q), code in zip(combinations(five, 2), _pair_codes(list(map(pack, key))))
                 if code not in singles]
 
     return details
 
 
-def _p3_detail(d: ThreeWayMap, digits: list[int]) -> Callable:
-    """P3's test for _scan: _p3_violation's detail for a 4-subset whose key
-    shows a violation, else None.  One shows exactly when a split of the
-    four triple codes into two pairs has equal codes within each pair and
-    two majority digits that both exist and differ (so the pairs' codes
-    differ); each distinct code's majority digit, 0 for none, is decoded
-    once per scan."""
-    majors: dict[int, int] = {}
-
-    def major(code: int) -> int:
-        if code not in majors:
-            majors[code] = next((g for g in digits if code // g % 64 >= 2), 0)
-        return majors[code]
-
-    def detail(quad: tuple[str, ...], key: tuple) -> Optional[str]:
-        a, b, c, e = key
-        for p, q, r, s in ((a, b, c, e), (a, c, b, e), (a, e, b, c)):
-            if p == q and r == s:
-                mp, mr = major(p), major(r)
-                if mp and mr and mp != mr:
-                    return _p3_violation(d, quad)
-        return None
-
-    return detail
+def _p3_detail(d: ThreeWayMap, quad: tuple[str, ...], key: tuple) -> Optional[str]:
+    """P3's test for _scan: _p3_violation's detail for a 4-subset whose four
+    values show a violation, else None.  One shows exactly when a split of
+    the values into two pairs has equal values within each pair and two
+    majority symbols that both exist and differ."""
+    a, b, c, e = key
+    for p, q, r, s in ((a, b, c, e), (a, c, b, e), (a, e, b, c)):
+        if p == q and r == s:
+            mp, mr = p.majority, r.majority
+            if mp is not None and mr is not None and mp != mr:
+                return _p3_violation(d, quad)
+    return None
 
 
 def _p3_violation(d: ThreeWayMap, quad: Sequence[str]) -> Optional[str]:

@@ -122,11 +122,14 @@ class TwoWayMap(_TotalMap):
     pairs = _TotalMap._items
 
     def _pair_table(self) -> list[list[Optional[Symbol]]]:
-        """The values as an upper-triangle table: D(x,y) at [a][b] for the
-        positions a < b of x and y, None on and below the diagonal."""
+        """The values as a square table: D(x,y) at [a][b] and [b][a] for the
+        positions a != b of x and y, None on the diagonal."""
         first, n = self._offsets[0], len(self.ground)
-        return [[None] * (a + 1) + list(self.values[first[a] + a + 1:first[a] + n])
-                for a in range(n)]
+        table = [[None] * (a + 1) + list(self.values[first[a] + a + 1:first[a] + n])
+                 for a in range(n)]
+        for a, row in enumerate(table):
+            row[:a] = [above[a] for above in table[:a]]
+        return table
 
     def triples(self) -> Iterator[tuple[tuple[str, ...], tuple[Symbol, Symbol, Symbol]]]:
         """((x, y, z), (D(x,y), D(x,z), D(y,z))) for every 3-subset, in

@@ -187,14 +187,12 @@ def _pair_map_split(d: TwoWayMap, ground: tuple[str, ...]) -> Callable:
     is the cotree decomposition of symbolic ultrametrics (Boecker & Dress
     1998); it completes exactly when D is one.
     """
-    n = len(ground)
-    if n < 2 or sorted(ground) != sorted(d.ground):
+    if len(ground) < 2 or sorted(ground) != sorted(d.ground):
         raise TreeError("BUILD needs a pair map on the ground set, of two or more leaves")
-    pos = {name: i for i, name in enumerate(ground)}
-    table: list[list[Optional[Symbol]]] = [[None] * n for _ in range(n)]
-    at = [pos[x] for x in d.ground]
-    for (i, j), v in zip(combinations(at, 2), d.values):
-        table[i][j] = table[j][i] = v
+    table = d._pair_table()
+    if ground != d.ground:
+        order = list(map(d._pos.__getitem__, ground))
+        table = [[row[j] for j in order] for row in map(table.__getitem__, order)]
 
     def split(leaves: list[int], _) -> Optional[list]:
         first = table[leaves[0]]

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from trisym import KIND_SYMBOL, SymbolTable, ThreeWayMap
+from trisym import KIND_MULTISET, KIND_SYMBOL, SymbolTable, ThreeWayMap, TripleMultiset
 from trisym.cli import EXIT_BAD_INPUT, main
 from trisym.conditions import _slot_codes
 
@@ -87,3 +87,21 @@ def test_the_slot_keys_of_a_many_symbol_map_take_memory_linear_in_its_size():
     finally:
         tracemalloc.stop()
     assert peak < PEAK_LIMIT
+
+
+def test_the_slot_keys_of_a_many_symbol_multiset_map_take_memory_linear_in_its_size():
+    """A 20-leaf multiset map with three fresh symbols per triple: 3,420
+    symbols.  Its slot keys are its values too, about one reference per
+    slot; base-64 digit codes of its multisets would take about 6.4 MiB."""
+    ground = [f"t{i}" for i in range(20)]
+    table = SymbolTable([f"s{i}" for i in range(3 * len(list(combinations(ground, 3))))])
+    d = ThreeWayMap(KIND_MULTISET, ground, [TripleMultiset(t) for t in zip(*[iter(table)] * 3)],
+                    table)
+    assert len(d.image_symbols()) == 3420
+    tracemalloc.start()
+    try:
+        _slot_codes(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

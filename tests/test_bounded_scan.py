@@ -163,7 +163,7 @@ def test_the_bounded_check_of_a_clean_map_visits_no_subset(monkeypatch, kind, le
     for name in ("_m1_violation", "_m2_violation", "_p3_violation", "_u1_violation",
                  "_u2_violation", "_pi_pattern"):
         monkeypatch.setattr(conditions, name, refuse)
-    monkeypatch.setattr(conditions, "_p1_details", lambda d, singles: refuse)
+    monkeypatch.setattr(conditions, "_p1_details", lambda d: refuse)
     assert FAMILIES[kind][2](d, near=near_tree(d)) == []
     assert sorted(visits) == {KIND_MULTISET: [(3, 0), (4, 0), (5, 0)],
                               KIND_SYMBOL: [(4, 0), (5, 0)], PAIR: [(3, 0), (4, 0)]}[kind]

@@ -34,8 +34,8 @@ from trisym import (
 from trisym import conditions
 from trisym.conditions import (
     M1, M2, P1, P2, P3, U1, U2, PAIR_OF_TRIPLES_NUMERATORS, TRIPLE_OF_PAIRS, Violation,
-    _pair_codes, _pi_pattern, _p3_violation, _slot_codes, counts_are_valid, counts_combination,
-    pair_counts,
+    _digits, _pair_codes, _pi_pattern, _p3_violation, _slot_codes, counts_are_valid,
+    counts_combination, pair_counts,
 )
 from trisym.trees import ROOTED, UNROOTED
 
@@ -110,6 +110,13 @@ def reference_check_three_way_ultrametric(d):
         if hit is not None:
             out.append(Violation(P3, quad, hit))
     return out
+
+
+def _five_codes(d):
+    """The ten triple codes of a 5-leaf multiset map in combinations order,
+    each value packed by its entries' digits."""
+    digit = _digits(d.image_symbols())
+    return [sum(map(digit.__getitem__, v.entries)) for v in d.values], digit
 
 
 def _kind(d):
@@ -202,13 +209,11 @@ def test_row_test_matches_the_matrix_route(symbols):
     rng = random.Random(7300 + symbols)
     for _ in range(40):
         d = _random_map(KIND_MULTISET, 5, symbols, rng)
-        table, digits = _slot_codes(d)
-        key = tuple(table[a][b][c] for a, b, c in combinations(range(5), 3))
-        names = sorted(s.name for s in d.image_symbols())
+        codes, digit = _five_codes(d)
         recovered = FivePointSystem(d, d.ground).pair_symbols()
-        for code, sym in zip(_pair_codes(key), recovered):
-            want = None if sym is None else 6 * digits[names.index(sym.name)]
-            assert (code if code in {6 * g for g in digits} else None) == want
+        for code, sym in zip(_pair_codes(codes), recovered):
+            want = None if sym is None else 6 * digit[sym]
+            assert (code if code in {6 * g for g in digit.values()} else None) == want
 
 
 def test_the_derived_matrices_are_the_five_point_system():
@@ -260,9 +265,9 @@ def test_the_row_test_is_exact_where_narrower_digits_would_alias(abc_table):
     d = multiset_map(tuple("12345"), rows, abc_table)
     a, b, c = (abc_table.intern(n) for n in "ABC")
     assert pair_counts(d, "1", "2", "3", "4", "5") == {a: -10, b: 17, c: -1}
-    table, digits = _slot_codes(d)
-    key = tuple(table[i][j][k] for i, j, k in combinations(range(5), 3))
-    assert _pair_codes(key)[0] not in {6 * g for g in digits}
+    codes, digit = _five_codes(d)
+    assert list(digit) == [a, b, c]
+    assert _pair_codes(codes)[0] not in {6 * g for g in digit.values()}
     got = check_three_way_ultrametric(d)
     assert got == reference_check_three_way_ultrametric(d)
     assert got[0].detail.startswith("combination for pair (1,2) is ")
@@ -270,8 +275,8 @@ def test_the_row_test_is_exact_where_narrower_digits_would_alias(abc_table):
 
 def test_the_p3_code_test_is_exact_on_every_four_leaf_map(monkeypatch, abc_table):
     """Every assignment of the ten multisets over A,B,C to the four triples
-    of a 4-leaf map: P3's code test calls _p3_violation exactly when the
-    reference finds a violation."""
+    of a 4-leaf map: P3's test on the subset's four values calls
+    _p3_violation exactly when the reference finds a violation."""
     alphabet = multiset_alphabet(abc_table)
     assert len(alphabet) == 10
     quad = ("1", "2", "3", "4")
@@ -279,9 +284,10 @@ def test_the_p3_code_test_is_exact_on_every_four_leaf_map(monkeypatch, abc_table
     hits = 0
     for values in product(alphabet, repeat=4):
         d = ThreeWayMap(KIND_MULTISET, quad, values, abc_table)
-        table, digits = _slot_codes(d)
+        table = _slot_codes(d)
         key = tuple(table[a][b][c] for a, b, c in combinations(range(4), 3))
+        assert key == values
         want = _p3_violation(d, quad) is not None
-        assert (conditions._p3_detail(d, digits)(quad, key) == "hit") == want, values
+        assert (conditions._p3_detail(d, quad, key) == "hit") == want, values
         hits += want
     assert 0 < hits < 10 ** 4
