@@ -24,8 +24,7 @@ from .farris import FarrisResult, farris_inverse, farris_transform
 from .conditions import (FivePointSystem, PAIR_OF_TRIPLES, QuartetType,
                          TRIPLE_OF_PAIRS, Violation, check_three_way_ultrametric,
                          check_tree_map, check_ultrametric, classify_quartet,
-                         pair_combination, pair_counts, representable_by_conditions,
-                         ultrametric_by_five_subsets)
+                         pair_combination, pair_counts, representable_by_conditions)
 from .reconstruct import (NotUltrametricError, PairContradictionError,
                           ReconstructionOutcome, build, decide_tree_map,
                           decide_ultrametric, is_fixed_cherry_map, recover_two_way,

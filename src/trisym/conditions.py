@@ -144,22 +144,6 @@ _SUBSET_SLOTS = {3: _SUBSET_TRIPLES,
                  2: {k: tuple((0, i, j) for i, j in combinations(range(k), 2)) for k in (3, 4)}}
 
 
-def _digits(symbols: Iterable[Symbol]) -> dict[Symbol, int]:
-    """Each symbol's base-64 digit, 1 << 6*i for the i-th in name order,
-    keyed in that order.  A multiset's code is the sum of its entries'
-    digits; P1 and five-point pair recovery compute on codes."""
-    return {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
-
-
-def _value_codes(d: ThreeWayMap) -> tuple[list[int], dict[Symbol, int]]:
-    """The code of every slot of a multiset map d in combinations order, and
-    the digit of each image symbol.  Each distinct value is coded once."""
-    digit = _digits(d.image_symbols())
-    code = {v: sum(map(digit.__getitem__, v.entries))  # type: ignore[union-attr]
-            for v in set(d.values)}
-    return list(map(code.__getitem__, d.values)), digit
-
-
 def _slot_codes(d: ThreeWayMap | TwoWayMap) -> list:
     """The key of every slot as table[a][b][c] for positions a < b < c (a
     pair map's b < c for any a): one reference per slot, however many
@@ -288,32 +272,23 @@ def pair_counts(d: ThreeWayMap, p: str, q: str, e: str, f: str, g: str) -> dict[
     five distinct names of a multiset map.
     """
     value = d.value
-    plus = (value(p, q, e), value(p, q, f), value(p, q, g), value(e, f, g))
-    minus = (value(p, e, f), value(p, e, g), value(p, f, g),
-             value(q, e, f), value(q, e, g), value(q, f, g))
+    return _counts((value(p, q, e), value(p, q, f), value(p, q, g), value(e, f, g)),
+                   (value(p, e, f), value(p, e, g), value(p, f, g),
+                    value(q, e, f), value(q, e, g), value(q, f, g)))
+
+
+def _counts(plus: Iterable[TripleMultiset], minus: Iterable[TripleMultiset]) -> dict[Symbol, int]:
+    """A pair's scaled five-point combination from its row's values:
+    2 * (the entries of the plus values) - (the entries of the minus
+    values), per symbol, zero counts dropped."""
     counts: dict[Symbol, int] = {}
     for v in plus:
-        for s in v.entries:  # type: ignore[union-attr]
+        for s in v.entries:
             counts[s] = counts.get(s, 0) + 2
     for v in minus:
-        for s in v.entries:  # type: ignore[union-attr]
+        for s in v.entries:
             counts[s] = counts.get(s, 0) - 1
     return {s: c for s, c in counts.items() if c}
-
-
-def counts_are_valid(counts: dict[Symbol, int]) -> bool:
-    """True iff counts / 6 has non-negative integer coefficients."""
-    return all(c >= 0 and c % 6 == 0 for c in counts.values())
-
-
-def counts_singleton(counts: dict[Symbol, int]) -> Optional[Symbol]:
-    """The symbol s when counts are exactly {s: 6}, i.e. counts / 6 is that
-    single symbol; otherwise None."""
-    if len(counts) == 1:
-        (sym, c), = counts.items()
-        if c == 6:
-            return sym
-    return None
 
 
 def counts_combination(counts: dict[Symbol, int]) -> SymbolCombination:
@@ -372,6 +347,97 @@ class FivePointSystem:
                 for c in self.pair_combinations()]
 
 
+# -- the packed five-point kernel ------------------------------------------------
+
+def _digits(symbols: Iterable[Symbol]) -> dict[Symbol, int]:
+    """Each symbol's base-64 digit, 1 << 6*i for the i-th in name order,
+    keyed in that order.  A multiset's code is the sum of its entries'
+    digits."""
+    return {s: 1 << 6 * i for i, s in enumerate(sorted(symbols, key=lambda s: s.name))}
+
+
+class _Codes(dict):
+    """The codes of a multiset map d's values, each made the first time
+    it is looked up, so only the values a caller meets are coded.  digit
+    is _digits of d's image symbols, and single maps 6 times a digit to
+    its symbol: a pair's packed combination is a single symbol exactly
+    when it is a key of single.  P1 and pair recovery both compute on
+    these codes, and codes are only made and compared, never decoded."""
+
+    def __init__(self, d: ThreeWayMap):
+        super().__init__()
+        self.digit = _digits(d.image_symbols())
+        self.single = {6 * g: s for s, g in self.digit.items()}
+
+    def __missing__(self, v: TripleMultiset) -> int:
+        code = self[v] = sum(map(self.digit.__getitem__, v.entries))
+        return code
+
+
+# Per pair row of the five-point system, the columns with coefficient +2 and
+# those with -1.
+_PLUS_COLUMNS, _MINUS_COLUMNS = (tuple(tuple(j for j, c in enumerate(row) if c == sign)
+                                       for row in PAIR_OF_TRIPLES_NUMERATORS)
+                                 for sign in (2, -1))
+
+
+def _pair_codes(codes: Sequence[int]) -> list[int]:
+    """Per pair row, pair_counts as one packed code from the ten triple codes
+    of a 5-subset: 2*(sum of the row's +2 columns) - (sum of the rest) =
+    3*(sum of the +2 columns) - total.
+    Every digit lies in [-18, 24], so the code fixes the counts, and as the
+    counts sum to 6 they are valid exactly when the code is 6 times a digit."""
+    total = sum(codes)
+    return [3 * (codes[i] + codes[j] + codes[k] + codes[m]) - total
+            for i, j, k, m in _PLUS_COLUMNS]
+
+
+def _five_point_pairs(d: ThreeWayMap, rotate: bool = False) -> list[Optional[Symbol]]:
+    """Per pair of a multiset map on |X| >= 5, in combinations order, its
+    value from one five-point combination, {p,q} plus the first three
+    other ground leaves, or None where that is not a single symbol.  A
+    representable map yields its true pair value from every 5-subset.
+    With rotate, such pairs, in order, first try {p,q} plus each later run
+    of three consecutive other leaves, in ground order with wrap-around,
+    and take the first single symbol; rotation stops at the first pair
+    that no window recovers.
+
+    Each combination is pair_counts packed into one integer over the slot
+    codes.  Pairs off the first three positions share the window (0, 1, 2):
+    each leaf holds one sum over it, and a row's pairs read three slot runs."""
+    n = len(d.ground)
+    code = _Codes(d)
+    codes, single = list(map(code.__getitem__, d.values)), code.single
+    first, second = _rank_offsets(n, 3)
+
+    def run(a: int, b: int) -> list[int]:  # the codes of (a, b, c), c > b
+        return codes[first[a] - second[b] + b + 1:first[a] - second[b] + n]
+
+    def pair_code(p: int, q: int, e: int, f: int, g: int) -> int:
+        c = [codes[first[x] - second[y] + z] for x, y, z in map(sorted, (
+            (p, q, e), (p, q, f), (p, q, g), (e, f, g),
+            (p, e, f), (p, e, g), (p, f, g), (q, e, f), (q, e, g), (q, f, g)))]
+        return 2 * sum(c[:4]) - sum(c[4:])
+
+    codes_of = [pair_code(a, b, *[x for x in range(5) if x != a and x != b][:3])
+                for a in range(3) for b in range(a + 1, n)]
+    window = [x + y + z for x, y, z in zip(run(0, 1)[1:], run(0, 2), run(1, 2))]
+    for a in range(3, n):
+        base = 2 * codes[0] - window[a - 3]
+        codes_of += [2 * (x + y + z) + base - w for x, y, z, w in
+                     zip(run(0, a), run(1, a), run(2, a), window[a - 2:])]
+    values = list(map(single.get, codes_of))
+    for k, (i, j) in enumerate(combinations(range(n), 2)) if rotate else ():
+        if values[k] is None:
+            others = [x for x in range(n) if x != i and x != j] * 2
+            windows = (others[m:m + 3] for m in range(1, len(others) // 2))
+            values[k] = next(filter(None, (single.get(pair_code(i, j, *w)) for w in windows)),
+                             None)
+            if values[k] is None:
+                break
+    return values
+
+
 # -- multiset three-way maps: P1 / P2 / P3 --------------------------------------
 
 def check_three_way_ultrametric(d: ThreeWayMap, stop_after: Optional[int] = None,
@@ -393,53 +459,25 @@ def _p2_violation(d: ThreeWayMap, triple: Sequence[str]) -> Optional[str]:
     return f"value {v.text()} has three distinct symbols" if len(v.support) > 2 else None
 
 
-# Per pair row of the five-point system, the columns with coefficient +2.
-_PLUS_COLUMNS = tuple(tuple(j for j, c in enumerate(row) if c == 2)
-                      for row in PAIR_OF_TRIPLES_NUMERATORS)
-
-
-def _pair_codes(codes: Sequence[int]) -> list[int]:
-    """Per pair row, pair_counts as one packed code from the ten triple codes
-    of a 5-subset: 2*(sum of the row's +2 columns) - (sum of the rest) =
-    3*(sum of the +2 columns) - total.
-    Every digit lies in [-18, 24], so the code fixes the counts, and as the
-    counts sum to 6 they are valid exactly when the code is 6 times a digit."""
-    total = sum(codes)
-    return [3 * (codes[i] + codes[j] + codes[k] + codes[m]) - total
-            for i, j, k, m in _PLUS_COLUMNS]
-
-
 def _p1_details(d: ThreeWayMap) -> Callable:
     """P1's test for _scan: the detail line of every pair of a 5-subset
-    whose packed code is not a single symbol's.  The subset's ten values
-    are packed by their entries' digits, each distinct value once per scan.
-    A pair's code has digits in [-18, 24], which decode as balanced base-64
-    digits into the pair's counts, and each distinct code's text is made
-    once per scan."""
-    digit = _digits(d.image_symbols())
-    singles = {6 * g for g in digit.values()}
-    codes: dict[TripleMultiset, int] = {}
-    texts: dict[int, str] = {}
+    whose packed code (_pair_codes over the ten values' _Codes) is not a
+    single symbol's.  A failing pair's text is counted from the row's
+    values, once per distinct code in a scan: the code fixes the counts."""
+    code = _Codes(d)
+    single, texts = code.single, {}
 
-    def pack(v: TripleMultiset) -> int:
-        if v not in codes:
-            codes[v] = sum(map(digit.__getitem__, v.entries))
-        return codes[v]
-
-    def text(code: int) -> str:
-        if code not in texts:
-            counts, rest = {}, code
-            for s in digit:
-                g = (rest + 31) % 64 - 31
-                counts[s] = g
-                rest = (rest - g) >> 6
-            texts[code] = counts_combination(counts).text()
-        return texts[code]
+    def text(c: int, key: tuple, plus: tuple, minus: tuple) -> str:
+        texts[c] = counts_combination(_counts(map(key.__getitem__, plus),
+                                              map(key.__getitem__, minus))).text()
+        return texts[c]
 
     def details(five: tuple[str, ...], key: tuple) -> list[str]:
-        return [f"combination for pair ({p},{q}) is {text(code)}"
-                for (p, q), code in zip(combinations(five, 2), _pair_codes(list(map(pack, key))))
-                if code not in singles]
+        return [f"combination for pair ({five[i]},{five[j]}) is "
+                f"{texts[c] if c in texts else text(c, key, plus, minus)}"
+                for c, (i, j), plus, minus in zip(_pair_codes(list(map(code.__getitem__, key))),
+                                                  _PAIRS, _PLUS_COLUMNS, _MINUS_COLUMNS)
+                if c not in single]
 
     return details
 
@@ -552,19 +590,6 @@ def classify_quartet(d: ThreeWayMap, four: Sequence[str]) -> QuartetType:
                 if ok:
                     return QuartetType(index, leaf_map, sym_map)
     return QuartetType(None, None, None)
-
-
-def ultrametric_by_five_subsets(d: ThreeWayMap) -> bool:
-    """True iff every 5-subset restriction satisfies the P conditions; for
-    |X| >= 5 this is equivalent to representability of the whole map."""
-    from .maps import restrict
-
-    if len(d.ground) < 5:
-        raise MapError("the five-subset test needs a ground set of size at least 5")
-    for five in combinations(d.ground, 5):
-        if check_three_way_ultrametric(restrict(d, five), stop_after=1):
-            return False
-    return True
 
 
 def representable_by_conditions(d: ThreeWayMap) -> bool:

@@ -5,8 +5,9 @@ discriminating labelled tree by BUILD's split of D on symbols
 (_tree_from_two_way), and verify the candidate exactly against the
 input.  Plain-symbol maps get D by projecting through one leaf, which the
 candidate attaches in place.  Multiset maps on five or more leaves
-recover each pair value from one five-point combination summed over the
-map's integer slot codes, in Theta(n^2) lookups.  The final verification
+recover each pair value from one five-point combination, in Theta(n^2)
+lookups of packed value codes, by the kernel P1 shares in conditions
+(_five_point_pairs); this module never sees a code.  The final verification
 is mandatory: D can have a tree while the input has none.  The
 candidate's map is laid out over the input's own ground order, so the two
 compare as one tuple of values.
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .conditions import _delta, _value_codes, classify_quartet, counts_combination, pair_counts
+from .conditions import _delta, _five_point_pairs, classify_quartet, pair_combination
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
-                   _rank_offsets, farris_project, three_way_from_rooted,
-                   three_way_from_unrooted)
+                   farris_project, three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, TripleMultiset
 # displayed_triplets and collapse_to_discriminating are not called here; they
 # stay importable from this module, where callers look them up as attributes.
@@ -294,54 +294,21 @@ def recover_two_way(d: ThreeWayMap, triplets: TripletSet) -> TwoWayMap:
 
 def _recover_two_way_by_five_points(d: ThreeWayMap, rotate: bool = False) -> TwoWayMap:
     """Recover the pairwise map of a multiset map on |X| >= 5 with one
-    five-point combination per pair: {p,q} plus the first three other
-    ground leaves.  A representable map yields its true pair value from
-    every 5-subset; a combination that is not a single symbol raises
-    PairContradictionError, naming the pair, the 5-subset and the
-    combination.  With rotate, such a pair first tries {p,q} plus each
-    later run of three consecutive other leaves, in ground order with
-    wrap-around, and takes the first single symbol.
-
-    Each combination is pair_counts packed into one integer over d's slot
-    codes, a single symbol exactly when it is 6 times that symbol's digit.
-    Pairs off the first three positions share the window (0, 1, 2): each
-    leaf holds one sum over it, and a row's pairs read three slot runs."""
-    ground, n = d.ground, len(d.ground)
-    codes, digits = _value_codes(d)
-    single = {6 * g: s for s, g in digits.items()}
-    first, second = _rank_offsets(n, 3)
-
-    def run(a: int, b: int) -> list[int]:  # the codes of (a, b, c), c > b
-        return codes[first[a] - second[b] + b + 1:first[a] - second[b] + n]
-
-    def code(p: int, q: int, e: int, f: int, g: int) -> int:
-        c = [codes[first[x] - second[y] + z] for x, y, z in map(sorted, (
-            (p, q, e), (p, q, f), (p, q, g), (e, f, g),
-            (p, e, f), (p, e, g), (p, f, g), (q, e, f), (q, e, g), (q, f, g)))]
-        return 2 * sum(c[:4]) - sum(c[4:])
-
-    codes_of = [code(a, b, *[x for x in range(5) if x != a and x != b][:3])
-                for a in range(3) for b in range(a + 1, n)]
-    window = [x + y + z for x, y, z in zip(run(0, 1)[1:], run(0, 2), run(1, 2))]
-    for a in range(3, n):
-        base = 2 * codes[0] - window[a - 3]
-        codes_of += [2 * (x + y + z) + base - w for x, y, z, w in
-                     zip(run(0, a), run(1, a), run(2, a), window[a - 2:])]
-    values = list(map(single.get, codes_of))
-    for k, ((i, j), sym) in enumerate(zip(combinations(range(n), 2), values)):
-        if sym is None and rotate:
-            others = [x for x in range(n) if x != i and x != j] * 2
-            windows = (others[m:m + 3] for m in range(1, len(others) // 2))
-            sym = values[k] = next(filter(None, (single.get(code(i, j, *w)) for w in windows)),
-                                   None)
+    five-point combination per pair (conditions._five_point_pairs):
+    {p,q} plus the first three other ground leaves, or with rotate the
+    first later window that gives a single symbol.  A representable map
+    yields its true pair value from every 5-subset; the first pair left
+    without a value raises PairContradictionError, naming the pair, its
+    first 5-subset and that combination."""
+    ground = d.ground
+    values = _five_point_pairs(d, rotate)
+    for (p, q), sym in zip(combinations(ground, 2), values):
         if sym is None:
-            p, q = ground[i], ground[j]
             e, f, g = [x for x in ground[:5] if x != p and x != q][:3]
-            counts = pair_counts(d, p, q, e, f, g)
             five = [x for x in ground if x in (p, q, e, f, g)]
             raise PairContradictionError(
                 (p, q), f"combination over ({','.join(five)}) is "
-                        f"{counts_combination(counts).text()}, not a single symbol")
+                        f"{pair_combination(d, five, p, q).text()}, not a single symbol")
     return TwoWayMap(ground, values, d.symbols)
 
 

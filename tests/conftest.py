@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, combinations_with_replacement
+from typing import Optional
 
 import pytest
 
 from trisym import (
     KIND_MULTISET,
     KIND_SYMBOL,
+    MapError,
+    Symbol,
     SymbolTable,
     ThreeWayMap,
     TripleMultiset,
+    check_three_way_ultrametric,
     parse_multiset,
     parse_newick,
 )
@@ -51,6 +55,34 @@ def random_plain_map(ground, table, rng: random.Random):
     syms = list(table)
     vals = {frozenset(t): rng.choice(syms) for t in combinations(ground, 3)}
     return ThreeWayMap.from_triples(KIND_SYMBOL, ground, vals, table)
+
+
+def counts_are_valid(counts: dict[Symbol, int]) -> bool:
+    """True iff counts / 6 has non-negative integer coefficients."""
+    return all(c >= 0 and c % 6 == 0 for c in counts.values())
+
+
+def counts_singleton(counts: dict[Symbol, int]) -> Optional[Symbol]:
+    """The symbol s when counts are exactly {s: 6}, i.e. counts / 6 is that
+    single symbol; otherwise None."""
+    if len(counts) == 1:
+        (sym, c), = counts.items()
+        if c == 6:
+            return sym
+    return None
+
+
+def ultrametric_by_five_subsets(d: ThreeWayMap) -> bool:
+    """True iff every 5-subset restriction satisfies the P conditions; for
+    |X| >= 5 this is equivalent to representability of the whole map."""
+    from trisym.maps import restrict
+
+    if len(d.ground) < 5:
+        raise MapError("the five-subset test needs a ground set of size at least 5")
+    for five in combinations(d.ground, 5):
+        if check_three_way_ultrametric(restrict(d, five), stop_after=1):
+            return False
+    return True
 
 
 @pytest.fixture

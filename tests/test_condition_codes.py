@@ -34,13 +34,14 @@ from trisym import (
 from trisym import conditions
 from trisym.conditions import (
     M1, M2, P1, P2, P3, U1, U2, PAIR_OF_TRIPLES_NUMERATORS, TRIPLE_OF_PAIRS, Violation,
-    _digits, _pair_codes, _pi_pattern, _p3_violation, _slot_codes, counts_are_valid,
-    counts_combination, pair_counts,
+    _digits, _pair_codes, _pi_pattern, _p3_violation, _slot_codes, counts_combination,
+    pair_counts,
 )
 from trisym.trees import ROOTED, UNROOTED
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import multiset_alphabet, random_multiset_map, random_plain_map  # noqa: E402
+from conftest import (counts_are_valid, multiset_alphabet, random_multiset_map,  # noqa: E402
+                      random_plain_map)
 from test_trees import random_labelled_tree  # noqa: E402
 
 NAMES = tuple(string.ascii_uppercase[:12])

@@ -24,12 +24,11 @@ from trisym import (
     three_way_from_two_way,
     three_way_from_unrooted,
     two_way_from_tree,
-    ultrametric_by_five_subsets,
 )
 from trisym.trees import ROOTED, UNROOTED
 
-from conftest import (multiset_map, pivot_leaf_map, plain_map,
-                      random_multiset_map)
+from conftest import (counts_are_valid, counts_singleton, multiset_map, pivot_leaf_map,
+                      plain_map, random_multiset_map, ultrametric_by_five_subsets)
 from test_trees import random_labelled_tree, seeds
 
 
@@ -174,8 +173,7 @@ def test_formula_route_equals_matrix_route(seed):
 def test_integer_kernel_agrees_with_matrix_route():
     """The integer counts decide validity and the singleton exactly as the
     rational matrix route does."""
-    from trisym.conditions import (counts_are_valid, counts_combination,
-                                   counts_singleton, pair_counts)
+    from trisym.conditions import counts_combination, pair_counts
 
     rng = random.Random(61003)
     valid = invalid = 0

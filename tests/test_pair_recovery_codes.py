@@ -17,13 +17,13 @@ from itertools import combinations
 import pytest
 
 from trisym import SymbolTable
-from trisym.conditions import counts_combination, counts_singleton, pair_counts
+from trisym.conditions import counts_combination, pair_counts
 from trisym.maps import (ThreeWayMap, TwoWayMap, three_way_from_rooted,
                          three_way_from_two_way)
 from trisym.reconstruct import PairContradictionError, _recover_two_way_by_five_points
 from trisym.trees import ROOTED
 
-from conftest import multiset_alphabet, random_multiset_map
+from conftest import counts_singleton, multiset_alphabet, random_multiset_map
 from test_trees import random_labelled_tree
 
 MAPS = 240
