@@ -15,7 +15,7 @@ from .trees import (LabelledTree, PhyloTree, ROOTED, UNROOTED, TreeError, Triple
                     displayed_triplets, induced_subtree, is_discriminating,
                     labelled_isomorphic, parse_newick, parse_tree, parse_triplets,
                     shape_isomorphic, to_newick, tree_to_text)
-from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
+from .maps import (KIND_MULTISET, KIND_PAIR, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    farris_project, load_three_way_map, load_two_way_map, restrict,
                    save_three_way_map, save_two_way_map, set_valued_view,
                    three_way_from_rooted, three_way_from_two_way,

@@ -31,7 +31,7 @@ from itertools import combinations, islice, permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
+from .maps import (KIND_MULTISET, KIND_PAIR, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    _rank_offsets, three_way_from_rooted, three_way_from_unrooted,
                    two_way_from_tree)
 from .symbols import Symbol, SymbolCombination, SymbolTable, TripleMultiset, parse_multiset
@@ -81,6 +81,8 @@ def check_ultrametric(d: TwoWayMap, stop_after: Optional[int] = None,
     when d is representable by lca labels of a rooted labelled tree.  Given
     a rooted labelled tree near on d's ground, only the subsets where d
     differs from its map are scanned, with the same result."""
+    if d.kind != KIND_PAIR:
+        raise MapError("U conditions apply to two-way maps")
     return list(islice(_violations(d, _delta(d, near), _U_FAMILIES), stop_after or None))
 
 
@@ -150,8 +152,8 @@ def _slot_codes(d: ThreeWayMap | TwoWayMap) -> list:
     symbols the map has.  The checkers skip it when Delta is empty, as no
     subset is then read."""
     n = len(d.ground)
-    if isinstance(d, TwoWayMap):
-        return [d._pair_table()] * n
+    if d.kind == KIND_PAIR:
+        return [d._pair_table()] * n  # type: ignore[union-attr]
     first, second = _rank_offsets(n, 3)
     return [[(None,) * (b + 1) + d.values[first[a] - second[b] + b + 1:first[a] - second[b] + n]
              if b > a else None for b in range(n)] for a in range(n)]
@@ -163,8 +165,8 @@ def _delta(d: ThreeWayMap | TwoWayMap, near: Optional[LabelledTree]) -> Optional
     None without near."""
     if near is None:
         return None
-    construct = (two_way_from_tree if isinstance(d, TwoWayMap) else
-                 three_way_from_rooted if d.kind == KIND_MULTISET else three_way_from_unrooted)
+    construct = {KIND_PAIR: two_way_from_tree, KIND_MULTISET: three_way_from_rooted,
+                 KIND_SYMBOL: three_way_from_unrooted}[d.kind]
     values = construct(near, d.ground).values
     return [s for s, a, b in zip(combinations(range(len(d.ground)), d._k), d.values, values)
             if a != b]
@@ -602,6 +604,8 @@ def representable_by_conditions(d: ThreeWayMap) -> bool:
     """
     if d.kind == KIND_SYMBOL:
         return not check_tree_map(d, stop_after=1)
+    if d.kind != KIND_MULTISET:
+        raise MapError("the conditions verdict applies to three-way maps")
     if len(d.ground) < 4:
         raise MapError("conditions on multiset maps need a ground set of size at least 4")
     if len(d.ground) >= 5:

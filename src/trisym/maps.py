@@ -4,10 +4,11 @@ Values live in dense tables indexed by the lexicographic rank of the subset
 over the ordered ground set, so lookups are O(1) and serialization order is
 deterministic.  Maps are total by construction; partial data is a load-time
 error, not a representable state.  Each map keeps a position for every
-ground name; value() sorts the positions of its names and reads the slot at
-their closed-form lexicographic rank, so no lookup builds a key.  The
-loaders read a saved-form text by columns and any other row by row into
-rank slots, with the same maps and messages either way.
+ground name, and each arity has one rank, _rank, that sorts the positions
+of its names and gives the slot at their closed-form lexicographic rank, so
+no lookup builds a key; value() and the loader both read slots through it.
+The loaders read a saved-form text by columns and any other by one row pass
+that serves both arities, with the same maps and messages either way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .trees import LabelledTree, ROOTED, UNROOTED, TreeError, _LEAF_RE, table_tr
 
 KIND_SYMBOL = "symbol"
 KIND_MULTISET = "multiset"
+KIND_PAIR = "pair"  # the kind of every two-way map
 
 Value = Union[Symbol, TripleMultiset]
 
@@ -97,27 +99,41 @@ class _TotalMap:
         return hash((frozenset(self.ground), frozenset(
             (frozenset(s), v) for s, v in self._items())))
 
+    def image_symbols(self) -> set[Symbol]:
+        if self.kind != KIND_MULTISET:  # type: ignore[attr-defined]
+            return set(self.values)  # type: ignore[arg-type]
+        out: set[Symbol] = set()
+        for v in set(self.values):
+            out.update(v.entries)  # type: ignore[union-attr]
+        return out
+
 
 class TwoWayMap(_TotalMap):
     """A total map from 2-subsets of the ground set into symbols."""
 
     __slots__ = ()
     _k, _what, _noun = 2, "two-way", "pair"
+    kind = KIND_PAIR
 
     @classmethod
     def from_pairs(cls, ground: Sequence[str], table: Mapping[frozenset, Symbol] | Mapping[tuple, Symbol],
                    symbols: SymbolTable) -> "TwoWayMap":
         return cls(ground, cls._table_values(ground, table), symbols)
 
-    def value(self, x: str, y: str) -> Symbol:
-        pos = self._pos
+    @staticmethod
+    def _rank(pos: Mapping[str, int], offsets: tuple, names: Sequence[str]) -> int:
+        """The slot of a pair of names, or -1 for an unknown or repeated name."""
+        x, y = names
         a, b = pos.get(x, -1), pos.get(y, -1)
         if a > b:
             a, b = b, a
-        if a < 0 or a == b:
+        return -1 if a < 0 or a == b else offsets[0][a] + b
+
+    def value(self, x: str, y: str) -> Symbol:
+        i = self._rank(self._pos, self._offsets, (x, y))
+        if i < 0:
             raise MapError(f"pair ({x},{y}) is not in the map")
-        first, = self._offsets
-        return self.values[first[a] + b]
+        return self.values[i]  # type: ignore[return-value]
 
     pairs = _TotalMap._items
 
@@ -136,9 +152,6 @@ class TwoWayMap(_TotalMap):
         combinations order, read off the upper-triangle table as a tree's
         three pairwise lcas are read off its lca table."""
         return zip(combinations(self.ground, 3), table_triples(self._pair_table()))
-
-    def image_symbols(self) -> set[Symbol]:
-        return set(self.values)
 
 
 class ThreeWayMap(_TotalMap):
@@ -163,8 +176,11 @@ class ThreeWayMap(_TotalMap):
                      table: Mapping, symbols: SymbolTable) -> "ThreeWayMap":
         return cls(kind, ground, cls._table_values(ground, table), symbols)
 
-    def value(self, x: str, y: str, z: str) -> Value:
-        pos = self._pos
+    @staticmethod
+    def _rank(pos: Mapping[str, int], offsets: tuple, names: Sequence[str]) -> int:
+        """The slot of a triple of names, or -1 for an unknown or repeated
+        name: a compare-swap sort of the three positions."""
+        x, y, z = names
         a, b, c = pos.get(x, -1), pos.get(y, -1), pos.get(z, -1)
         if a > b:
             a, b = b, a
@@ -172,23 +188,18 @@ class ThreeWayMap(_TotalMap):
             b, c = c, b
             if a > b:
                 a, b = b, a
-        if a < 0 or a == b or b == c:
+        return -1 if a < 0 or a == b or b == c else offsets[0][a] - offsets[1][b] + c
+
+    def value(self, x: str, y: str, z: str) -> Value:
+        i = self._rank(self._pos, self._offsets, (x, y, z))
+        if i < 0:
             raise MapError(f"triple ({x},{y},{z}) is not in the map")
-        first, second = self._offsets
-        return self.values[first[a] - second[b] + c]
+        return self.values[i]
 
     triples = _TotalMap._items
 
     def image(self) -> set[Value]:
         return set(self.values)
-
-    def image_symbols(self) -> set[Symbol]:
-        if self.kind == KIND_SYMBOL:
-            return set(self.values)  # type: ignore[arg-type]
-        out: set[Symbol] = set()
-        for v in set(self.values):
-            out.update(v.entries)  # type: ignore[union-attr]
-        return out
 
 
 # -- constructions from labelled trees ---------------------------------------
@@ -362,52 +373,53 @@ def _saved_columns(text: str, header: list[str],
     return ground, list(map(parsed.__getitem__, values))
 
 
-def load_three_way_map(text: str, kind: str,
-                       symbols: Optional[SymbolTable] = None) -> ThreeWayMap:
-    """Load the TSV form: a 'x y z value' header then one row per 3-subset.
-
-    The ground-set order is the order of first appearance.  A saved-form
-    text is read by columns, any other in one pass that puts each row's value
-    in the slot at its triple's rank, making no more slots than the rows it
-    reads; each distinct value text is parsed once, so values spelled alike
-    are one object.  A filled slot is a duplicate row; after the pass, the
-    first empty slot in combinations order is the missing row.  The first
-    fault in file order is the one reported.
-    """
-    table = symbols if symbols is not None else SymbolTable()
-    parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
-    saved = _saved_columns(text, ["x", "y", "z", "value"], parse)
+def _load(cls: type, text: str, parse: Callable[[str], Value], table: SymbolTable,
+          *kind: str) -> _TotalMap:
+    """The map of class cls (built as cls(*kind, ground, values, table))
+    that a text gives: a saved-form text read by columns, any other in one
+    pass that puts each row's value in the slot its names rank to, making
+    no more slots than the rows it reads.  Each distinct value text is
+    parsed once, so values spelled alike are one object.  A row whose names
+    rank to no slot repeats a name, and a filled slot is a duplicate row;
+    after the pass, the first empty slot in combinations order is the
+    missing row.  The first fault in file order is the one reported."""
+    k, noun, rank = cls._k, cls._noun, cls._rank
+    header = [*"xyz"[:k], "value"]
+    saved = _saved_columns(text, header, parse)
     if saved is not None:
-        return ThreeWayMap(kind, *saved, table)
-    rows, ground = _rows(text, ["x", "y", "z", "value"], "three-way")
+        return cls(*kind, *saved, table)
+    rows, ground = _rows(text, header, cls._what)
     pos = dict(zip(ground, range(len(ground))))
-    first, second = _rank_offsets(len(ground), 3)
-    total = comb(len(ground), 3)
-    # a slot per triple only when the rows can fill them all; with fewer rows
+    offsets = _rank_offsets(len(ground), k)
+    total = comb(len(ground), k)
+    # a slot per subset only when the rows can fill them all; with fewer rows
     # some are missing, and a dict makes only the slots that are read
     slots = [None] * total if total <= len(rows) else defaultdict(type(None))
     parsed: dict[str, Value] = {}
-    for x, y, z, raw in rows:
-        a, b, c = pos[x], pos[y], pos[z]
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        if a == b or b == c:
-            raise MapError(f"triple ({x},{y},{z}) repeats a name")
-        i = first[a] - second[b] + c
+    for names in rows:
+        raw = names.pop()  # the row's value; its names are left
+        i = rank(pos, offsets, names)
+        if i < 0:
+            raise MapError(f"{noun} ({','.join(names)}) repeats a name")
         if slots[i] is not None:
-            raise MapError(f"duplicate row for triple ({x},{y},{z})")
+            raise MapError(f"duplicate row for {noun} ({','.join(names)})")
         v = parsed.get(raw)
         if v is None:
             v = parsed[raw] = parse(raw)
         slots[i] = v
     if len(rows) < total:
-        missing = next(t for i, t in enumerate(combinations(ground, 3)) if slots[i] is None)
-        raise MapError(f"missing value for triple {sorted(missing)}")
-    return ThreeWayMap(kind, ground, slots, table)  # type: ignore[arg-type]
+        missing = next(t for i, t in enumerate(combinations(ground, k)) if slots[i] is None)
+        raise MapError(f"missing value for {noun} {sorted(missing)}")
+    return cls(*kind, ground, slots, table)
+
+
+def load_three_way_map(text: str, kind: str,
+                       symbols: Optional[SymbolTable] = None) -> ThreeWayMap:
+    """Load the TSV form: a 'x y z value' header then one row per 3-subset,
+    in any order.  The ground-set order is the order of first appearance."""
+    table = symbols if symbols is not None else SymbolTable()
+    parse = partial(parse_multiset, table=table) if kind == KIND_MULTISET else table.intern
+    return _load(ThreeWayMap, text, parse, table, kind)  # type: ignore[return-value]
 
 
 def save_three_way_map(d: ThreeWayMap) -> str:
@@ -418,28 +430,9 @@ def save_three_way_map(d: ThreeWayMap) -> str:
 
 def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWayMap:
     """Load the TSV form: a 'x y value' header then one row per 2-subset,
-    read by columns or in one pass as load_three_way_map reads triples."""
+    read as load_three_way_map reads triples."""
     table = symbols if symbols is not None else SymbolTable()
-    saved = _saved_columns(text, ["x", "y", "value"], table.intern)
-    if saved is not None:
-        return TwoWayMap(*saved, table)
-    rows, ground = _rows(text, ["x", "y", "value"], "two-way")
-    pos = dict(zip(ground, range(len(ground))))
-    first, = _rank_offsets(len(ground), 2)
-    total = comb(len(ground), 2)
-    slots = [None] * total if total <= len(rows) else defaultdict(type(None))
-    for x, y, raw in rows:
-        a, b = pos[x], pos[y]
-        if a == b:
-            raise MapError(f"pair ({x},{y}) repeats a name")
-        i = first[a] + b if a < b else first[b] + a
-        if slots[i] is not None:
-            raise MapError(f"duplicate row for pair ({x},{y})")
-        slots[i] = table.intern(raw)
-    if len(rows) < total:
-        missing = next(t for i, t in enumerate(combinations(ground, 2)) if slots[i] is None)
-        raise MapError(f"missing value for pair {sorted(missing)}")
-    return TwoWayMap(ground, slots, table)  # type: ignore[arg-type]
+    return _load(TwoWayMap, text, table.intern, table)  # type: ignore[return-value]
 
 
 def save_two_way_map(d: TwoWayMap) -> str:

@@ -253,6 +253,8 @@ def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
     leaf names nor the symbols, so the cost of a query is per shape, whatever
     the number of symbols.
     """
+    if d.kind not in (KIND_SYMBOL, KIND_MULTISET):
+        raise MapError("the oracle searches for three-way maps")
     flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
     if len(d.ground) > MAX_LEAVES:
         raise EnumerationError(f"ground sets up to {MAX_LEAVES} are supported")

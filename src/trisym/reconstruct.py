@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .conditions import _delta, _five_point_pairs, classify_quartet, pair_combination
-from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
+from .maps import (KIND_MULTISET, KIND_PAIR, KIND_SYMBOL, MapError, ThreeWayMap, TwoWayMap,
                    farris_project, three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, TripleMultiset
 # displayed_triplets and collapse_to_discriminating are not called here; they
@@ -476,8 +476,8 @@ def near_tree(d: ThreeWayMap | TwoWayMap) -> Optional[LabelledTree]:
     has at most one triple, which no other tree beats, or else the one with
     the smallest Delta: a one-cell change holds three leaves, so one
     projection avoids it."""
-    if isinstance(d, TwoWayMap):
-        return _split_tree(d)
+    if d.kind == KIND_PAIR:
+        return _split_tree(d)  # type: ignore[arg-type]
     if d.kind == KIND_MULTISET:
         tree = _candidate(d, None, rotate=True) if len(d.ground) >= 5 else None
         return tree if isinstance(tree, LabelledTree) else None

@@ -18,6 +18,7 @@ import pytest
 
 from trisym import (
     KIND_MULTISET,
+    KIND_PAIR,
     KIND_SYMBOL,
     FivePointSystem,
     SymbolTable,
@@ -45,7 +46,7 @@ from conftest import (counts_are_valid, multiset_alphabet, random_multiset_map, 
 from test_trees import random_labelled_tree  # noqa: E402
 
 NAMES = tuple(string.ascii_uppercase[:12])
-PAIR = "pair"  # the kind of a pair map, which has no codomain kind of its own
+PAIR = KIND_PAIR
 
 
 def reference_check_ultrametric(d):
@@ -120,17 +121,13 @@ def _five_codes(d):
     return [sum(map(digit.__getitem__, v.entries)) for v in d.values], digit
 
 
-def _kind(d):
-    return d.kind if isinstance(d, ThreeWayMap) else PAIR
-
-
 def _alphabet(kind, table):
     return multiset_alphabet(table) if kind == KIND_MULTISET else list(table)
 
 
 def _mutant(d, rng, cells):
     values = list(d.values)
-    alphabet = _alphabet(_kind(d), d.symbols)
+    alphabet = _alphabet(d.kind, d.symbols)
     for i in rng.sample(range(len(values)), cells):
         values[i] = rng.choice([v for v in alphabet if v != values[i]])
     if isinstance(d, TwoWayMap):
@@ -190,7 +187,7 @@ def _maps(kind, count, seed):
 ], ids=["P", "M", "U"])
 def test_checkers_match_the_reference_scans(kind, check, reference):
     maps = _maps(kind, 460, {KIND_MULTISET: 7100, KIND_SYMBOL: 7200, PAIR: 7500}[kind])
-    assert len(maps) == 460 and all(_kind(d) == kind for d in maps)
+    assert len(maps) == 460 and all(d.kind == kind for d in maps)
     clean, kinds = 0, set()
     for d in maps:
         want = reference(d)
