@@ -276,12 +276,16 @@ def three_way_from_rooted(lt: LabelledTree,
 
 def three_way_from_two_way(d: TwoWayMap) -> ThreeWayMap:
     """Assemble delta(x,y,z) = {D(x,y), D(x,z), D(y,z)} from a two-way map."""
+    if d.kind != KIND_PAIR:
+        raise MapError("three_way_from_two_way applies to two-way maps")
     values = [TripleMultiset(vals) for _, vals in d.triples()]
     return ThreeWayMap(KIND_MULTISET, d.ground, values, d.symbols)
 
 
 def restrict(d: ThreeWayMap, leaves: Iterable[str]) -> ThreeWayMap:
     """Restrict a three-way map to the 3-subsets of a leaf subset."""
+    if d.kind == KIND_PAIR:
+        raise MapError("restrict applies to three-way maps")
     names = set(leaves)
     sub = [n for n in d.ground if n in names]
     missing = names - set(d.ground)
@@ -422,10 +426,18 @@ def load_three_way_map(text: str, kind: str,
     return _load(ThreeWayMap, text, parse, table, kind)  # type: ignore[return-value]
 
 
-def save_three_way_map(d: ThreeWayMap) -> str:
+def _save(cls: type, d: _TotalMap) -> str:
+    """The saved form of a map of class cls; a map of the other arity is
+    refused, so no text pairs its values with the wrong subsets."""
+    if d._k != cls._k:
+        raise MapError(f"the {cls._what} text form holds {cls._what} maps")
     texts = {v: v.text() if d.kind == KIND_MULTISET else v.name  # type: ignore[union-attr]
              for v in set(d.values)}
-    return _saved_text(["x", "y", "z", "value"], d.ground, map(texts.__getitem__, d.values))
+    return _saved_text([*"xyz"[:cls._k], "value"], d.ground, map(texts.__getitem__, d.values))
+
+
+def save_three_way_map(d: ThreeWayMap) -> str:
+    return _save(ThreeWayMap, d)
 
 
 def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWayMap:
@@ -436,4 +448,4 @@ def load_two_way_map(text: str, symbols: Optional[SymbolTable] = None) -> TwoWay
 
 
 def save_two_way_map(d: TwoWayMap) -> str:
-    return _saved_text(["x", "y", "value"], d.ground, [v.name for v in d.values])
+    return _save(TwoWayMap, d)

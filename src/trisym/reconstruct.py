@@ -100,6 +100,8 @@ def triplets_from_two_way(d: TwoWayMap) -> TripletSet:
     values; all-equal subsets emit nothing.  The first subset, in
     combinations order, with three distinct values raises
     NotUltrametricError before any triplet is made."""
+    if d.kind != KIND_PAIR:
+        raise MapError("triplets_from_two_way applies to two-way maps")
     for names, (xy, xz, yz) in d.triples():
         if xy != xz != yz != xy:
             raise NotUltrametricError(names)

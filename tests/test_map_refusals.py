@@ -1,5 +1,6 @@
 """What the map layer refuses, and with which message: a map of the wrong
-arity at every public entry point that takes one kind of map, malformed
+arity at every public entry point that takes one kind of map and checks its
+arguments (pair_counts, documented as unchecked, is left out), malformed
 ground sets and tables, trees of the wrong flavor, and value() lookups of
 names that rank to no slot."""
 
@@ -28,9 +29,13 @@ from trisym import (
     parse_newick,
     representable_by_conditions,
     restrict,
+    save_three_way_map,
+    save_two_way_map,
     set_valued_view,
     three_way_from_rooted,
+    three_way_from_two_way,
     three_way_from_unrooted,
+    triplets_from_two_way,
     two_way_from_tree,
 )
 from trisym.reconstruct import near_tree
@@ -66,6 +71,14 @@ WRONG_ARITY = [
     (lambda d: pair_combination(d, d.ground, *d.ground[:2]), KIND_PAIR,
      "pair combinations apply to multiset three-way maps"),
     (lambda d: FivePointSystem(d, d.ground), KIND_PAIR, "five-point systems apply to multiset maps"),
+    (save_three_way_map, KIND_PAIR, "the three-way text form holds three-way maps"),
+    (save_two_way_map, KIND_SYMBOL, "the two-way text form holds two-way maps"),
+    (save_two_way_map, KIND_MULTISET, "the two-way text form holds two-way maps"),
+    (lambda d: restrict(d, d.ground[:3]), KIND_PAIR, "restrict applies to three-way maps"),
+    (three_way_from_two_way, KIND_SYMBOL, "three_way_from_two_way applies to two-way maps"),
+    (three_way_from_two_way, KIND_MULTISET, "three_way_from_two_way applies to two-way maps"),
+    (triplets_from_two_way, KIND_SYMBOL, "triplets_from_two_way applies to two-way maps"),
+    (triplets_from_two_way, KIND_MULTISET, "triplets_from_two_way applies to two-way maps"),
 ]
 
 
