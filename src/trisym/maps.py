@@ -102,10 +102,7 @@ class _TotalMap:
     def image_symbols(self) -> set[Symbol]:
         if self.kind != KIND_MULTISET:  # type: ignore[attr-defined]
             return set(self.values)  # type: ignore[arg-type]
-        out: set[Symbol] = set()
-        for v in set(self.values):
-            out.update(v.entries)  # type: ignore[union-attr]
-        return out
+        return {s for v in set(self.values) for s in v.entries}  # type: ignore[union-attr]
 
 
 class TwoWayMap(_TotalMap):
@@ -288,13 +285,11 @@ def restrict(d: ThreeWayMap, leaves: Iterable[str]) -> ThreeWayMap:
         raise MapError("restrict applies to three-way maps")
     names = set(leaves)
     sub = [n for n in d.ground if n in names]
-    missing = names - set(d.ground)
-    if missing:
+    if missing := names - d._pos.keys():
         raise MapError(f"names {sorted(missing)} are not in the ground set")
     if len(sub) < 3:
         raise MapError("restriction needs at least 3 leaves")
-    values = [d.value(x, y, z) for x, y, z in combinations(sub, 3)]
-    return ThreeWayMap(d.kind, sub, values, d.symbols)
+    return ThreeWayMap(d.kind, sub, [d.value(*t) for t in combinations(sub, 3)], d.symbols)
 
 
 def farris_project(d: ThreeWayMap, r: str) -> TwoWayMap:
@@ -340,9 +335,8 @@ def _rows(text: str, header: list[str], what: str) -> tuple[list[list[str]], lis
     del rows[0]
     names = map(itemgetter(*range(width - 1)), rows)
     ground = list(dict.fromkeys(chain.from_iterable(names)))
-    for name in ground:
-        if not _LEAF_RE.fullmatch(name):  # a name the tree text cannot carry
-            raise MapError(f"bad leaf name {name!r}")
+    for name in filterfalse(_LEAF_RE.fullmatch, ground):  # one the tree text cannot carry
+        raise MapError(f"bad leaf name {name!r}")
     return rows, ground
 
 
