@@ -12,17 +12,17 @@ edges when only discriminating trees are wanted.
 The representability search labels no shape by backtracking.  A map fixes
 the labels of every tree that could induce it, because each interior vertex
 is the median of a leaf triple (unrooted) or the lca of a leaf pair
-(rooted).  So the search scans the shapes in enumeration order, reads each
-label off the map, checks every triple at once, and returns the first shape
-whose labelling matches and is discriminating: the first match among all
-discriminating labelled trees in enumerate_labelled_trees order.  Its cost
-is per shape, whatever the number of symbols.
+(rooted).  So the search walks the leaf insertions in enumeration order,
+reads each prefix's labels off the map, and extends only the prefixes whose
+labels agree; it returns the first shape whose labelling matches and is
+discriminating: the first match among all discriminating labelled trees in
+enumerate_labelled_trees order.  Nothing is kept between queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Optional, Sequence, Union
 
 # The search builds no maps; three_way_from_rooted and
@@ -31,8 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .maps import (KIND_MULTISET, KIND_SYMBOL, MapError, ThreeWayMap,
                    three_way_from_rooted, three_way_from_unrooted)
 from .symbols import Symbol, SymbolTable
-from .trees import (LabelledTree, PhyloTree, ROOTED, TreeBuilder, UNROOTED, median_of,
-                    table_triples)
+from .trees import LabelledTree, PhyloTree, ROOTED, TreeBuilder, UNROOTED, walk
 
 MAX_LEAVES = 6
 MAX_SYMBOLS = 3
@@ -170,67 +169,109 @@ def enumerate_labelled_trees(spec: EnumerationSpec) -> Iterator[LabelledTree]:
 
 # -- representability search ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _scan_shapes(flavor: str, n: int) -> tuple[tuple, ...]:
-    """Every shape on n leaves in enumerate_shapes order, on the leaves "0"
-    to "n-1", where leaf "i" stands for the i-th name of a ground set, with
-    what the search reads off it.
-
-    A map's slots are the entries of its values, in combinations order of
-    the leaf triples, that each label one vertex: per leaf triple, its
-    median (unrooted), or the shallower and then the deepest of its
-    pairwise lcas (rooted), which the value's majority and minority entries
-    label.  Each shape comes as (tree, first, repeats, interior edges):
-    first holds each interior vertex with the first slot on it, and repeats
-    has, for every later slot j on the same vertex, the bit j(j-1)/2 + i of
-    the slot pair i < j, i that first slot.  None of it depends on the
-    names or the symbols.
-    """
-    out = []
-    for tree in enumerate_shapes(flavor, [str(i) for i in range(n)]):
-        slots: list[int] = []
-        for xy, xz, yz in table_triples(tree.leaf_lca_table()):
-            deep = median_of(xy, xz, yz)
-            if flavor == ROOTED:
-                slots.append(xz if xy == deep else xy)
-            slots.append(deep)
-        first: dict[int, int] = {}
-        repeats = 0
-        for j, v in enumerate(slots):
-            i = first.setdefault(v, j)
-            if i != j:
-                repeats |= 1 << (j * (j - 1) // 2 + i)
-        edges = tuple((u, w) for u, w in tree.edges()
-                      if not tree.is_leaf(u) and not tree.is_leaf(w))
-        out.append((tree, tuple(first.items()), repeats, edges))
-    return tuple(out)
-
-
-def _slot_labels(d: ThreeWayMap) -> Optional[list[Symbol]]:
-    """The label each slot must carry: the value (symbol maps), or the
-    majority then the minority entry (multiset maps); None when some value
-    has three distinct entries, which no rooted tree induces."""
+def _slot_labels(d: ThreeWayMap) -> Optional[list[tuple]]:
+    """Per triple, the labels that the deepest and the shallower of its
+    pairwise lcas must carry: the value and None (symbol maps, whose median
+    is the deepest lca), or the minority and the majority entry (multiset
+    maps); None when some value has three distinct entries, which no rooted
+    tree induces."""
     if d.kind == KIND_SYMBOL:
-        return list(d.values)  # type: ignore[arg-type]
+        return [(v, None) for v in d.values]
     labels = []
     for v in d.values:
-        major = v.majority  # type: ignore[union-attr]
-        if major is None:
+        if v.majority is None:  # type: ignore[union-attr]
             return None
-        labels += (major, v.minority)  # type: ignore[union-attr]
+        labels.append((v.minority, v.majority))  # type: ignore[union-attr]
     return labels
 
 
-def _equal_pairs(labels: Sequence[Symbol]) -> int:
-    """The mask of the slot pairs i < j with labels[i] == labels[j], with
-    the bit of each pair at j(j-1)/2 + i."""
-    mask = 0
-    before: dict[Symbol, int] = {}  # label -> the bits of the slots so far with it
-    for j, label in enumerate(labels):
-        same = before.get(label, 0)
-        mask |= same << (j * (j - 1) // 2)
-        before[label] = same | 1 << j
-    return mask
+def _first_match(ground: Sequence[str], rooted: bool,
+                 want: Sequence[tuple]) -> Optional[tuple[tuple, list[Symbol]]]:
+    """The first shape in enumerate_shapes order whose slots on each vertex
+    carry one label and whose labelling is discriminating, with its
+    interior labels in preorder; or None.  The shape is rooted, on the
+    leaves placed by insertion: all but an unrooted ground's last.
+
+    The walk takes rooted_shapes' leaf insertions depth first.  Leaf i is
+    vertex i, the vertex made with leaf x is n + x, and vertex n stands
+    above the root, where an unrooted ground's last leaf hangs.  Placing a
+    leaf labels the slots of the triples it completes, and a prefix whose
+    slots disagree is not extended: a tree that induces the map induces it
+    on every leaf subset, on the same vertices.
+    """
+    n = len(ground)
+    top, m = n, (n if rooted else n - 1)
+    rank = {t: r for r, t in enumerate(combinations(range(n), 3))}
+    # per leaf x: the other two leaves of each triple it completes, and the
+    # labels of their deepest and shallower lca
+    completes = [[(a, b, *want[rank[a, b, x]]) for a, b in combinations(range(x), 2)]
+                 + [(a, n - 1, *want[rank[a, x, n - 1]]) for a in range(x) if not rooted]
+                 for x in range(m)]
+    meet = [[top] * n for _ in range(n)]  # meet[x][a]: the lca of leaves a < x
+    parent = [-1] * (2 * n)
+    parent[0] = parent[n - 1] = top  # leaf n - 1 moves when placed, if rooted
+    children: list[list[int]] = [[] for _ in range(2 * n)]
+    children[top] = [0]
+
+    def place(x: int, parent: list[int], label: list) -> Optional[list]:
+        """The labelling with leaf x's slots added, or None on a conflict."""
+        height, v = {}, parent[x]
+        while v >= 0:
+            height[v], v = len(height), parent[v]
+        row = meet[x]
+        for a in range(x):
+            v = a
+            while v not in height:
+                v = parent[v]
+            row[a] = v
+        label = label[:]
+        for a, b, deep_label, shallow_label in completes[x]:
+            u, w = row[a], row[b]
+            if u == w:
+                deep, shallow = meet[b][a], u
+            else:
+                deep, shallow = (u, w) if height[u] < height[w] else (w, u)
+            for v, want_v in ((deep, deep_label), (shallow, shallow_label)):
+                if want_v is None:  # an unrooted triple labels only its median
+                    break
+                if label[v] is None:
+                    label[v] = want_v
+                elif label[v] is not want_v:
+                    return None
+        return label
+
+    # per leaf being placed: the insertions left to try (c subdivides the
+    # edge above vertex c, ~c hangs the leaf below it), and the tree before
+    frames = [(iter([0]), parent, children, [None] * (2 * n))]
+    while frames:
+        x = len(frames)
+        ops, parent, children, label = frames[-1]
+        op = next(ops, None)
+        if op is None:
+            frames.pop()
+            continue
+        parent, children = parent[:], children[:]
+        if op >= 0:
+            w, p = n + x, parent[op]
+            children[p] = [w if c == op else c for c in children[p]]
+            children[w] = [op, x]
+            parent[w], parent[op], parent[x] = p, w, w
+        else:
+            children[~op] = children[~op] + [x]
+            parent[x] = ~op
+        label = place(x, parent, label)
+        if label is None:
+            continue
+        order = walk(children, children[top][0])[0]  # _materialize's numbering
+        if x < m - 1:
+            frames.append((iter([i for c in order for i in ((c, ~c) if c > n else (c,))]),
+                           parent, children, label))
+        elif not any(v > n and label[v] is label[parent[v]] for v in order):
+            built: dict[int, Shape] = {}
+            for v in reversed(order):
+                built[v] = ground[v] if v < n else tuple(built[c] for c in children[v])
+            return built[order[0]], [label[v] for v in order if v > n]
+    return None
 
 
 def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
@@ -245,44 +286,41 @@ def oracle_representable_three_way(d: ThreeWayMap) -> Optional[LabelledTree]:
     pairwise lcas carries the value's majority entry and the deepest its
     minority entry.  So each shape admits at most one matching labelling:
     the one read off d, which matches exactly when every two slots on one
-    vertex carry one label.  The search scans the shapes in order, tests
-    that for all of a shape's triples at once, as one mask inclusion, reads
-    the labels off the first shape that passes, and skips it when the
-    labelling is not discriminating.  The shapes and their masks are built
-    once per flavor and leaf count and kept; they depend on neither the
-    leaf names nor the symbols, so the cost of a query is per shape, whatever
-    the number of symbols.
+    vertex carry one label.  The search walks the shapes in order by leaf
+    insertion, skips every shape below a prefix whose slots already
+    disagree, and builds only the first shape that passes with a
+    discriminating labelling.  Nothing is kept between queries, and a map
+    that no tree induces is refused as soon as every prefix disagrees.
     """
     if d.kind not in (KIND_SYMBOL, KIND_MULTISET):
         raise MapError("the oracle searches for three-way maps")
-    flavor = ROOTED if d.kind == KIND_MULTISET else UNROOTED
+    rooted = d.kind == KIND_MULTISET
     if len(d.ground) > MAX_LEAVES:
         raise EnumerationError(f"ground sets up to {MAX_LEAVES} are supported")
-    if flavor == UNROOTED and len(d.ground) < 4:
+    if not rooted and len(d.ground) < 4:
         raise MapError("unrooted tree-maps need at least 4 leaves")
     want = _slot_labels(d)
-    if want is None:
+    found = None if want is None else _first_match(d.ground, rooted, want)
+    if found is None:
         return None
-    unequal = ~_equal_pairs(want)
-    for shape, first, repeats, interior_edges in _scan_shapes(flavor, len(d.ground)):
-        if repeats & unequal:
-            continue
-        label = {v: want[j] for v, j in first}
-        if any(label[u] == label[w] for u, w in interior_edges):
-            continue
-        tree = PhyloTree(flavor, shape.adj,
-                         {v: d.ground[int(i)] for v, i in shape.leaf_name.items()},
-                         root=shape.root, leaf_order=d.ground)
-        return LabelledTree(tree, label, d.symbols)
-    return None
+    shape, labels = found
+    tree = _materialize(shape, None if rooted else d.ground[-1], d.ground)
+    return LabelledTree(tree, dict(zip(tree.interior_vertices(), labels)), d.symbols)
 
 
 # -- census ------------------------------------------------------------------------
 
 def census(spec: EnumerationSpec) -> dict[str, int]:
-    """Counts for the spec: tree shapes and labelled trees."""
-    shapes = sum(1 for _ in enumerate_shapes(spec.flavor, spec.leaves))
-    labelled = sum(1 for _ in enumerate_labelled_trees(spec))
+    """Counts for the spec: tree shapes and labelled trees.  The interior
+    vertices of a shape form a tree, so a shape with m of them has k^m
+    labellings over k symbols, k(k-1)^(m-1) of them discriminating; the
+    labelled trees are counted per shape, not enumerated."""
+    k = len(spec.symbols)
+    shapes = labelled = 0
+    for shape in enumerate_shapes(spec.flavor, spec.leaves):
+        m = len(shape.interior_vertices())
+        shapes += 1
+        labelled += k * (k - 1) ** (m - 1) if spec.discriminating_only else k ** m
     return {
         "leaves": len(spec.leaves),
         "symbols": len(spec.symbols),
